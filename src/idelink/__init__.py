@@ -19,7 +19,7 @@ Conventions are fixed in the individual module docstrings; the JSON input
 schema is documented in ``presentation`` and the README.
 """
 
-from .abelian import FgAbelianGroup, GroupElement, element_order, group_from_relations, subgroup_invariant_factors
+from .abelian import FgAbelianGroup, GroupElement, element_order, subgroup_invariant_factors
 from .covers import (
     CoverSpec,
     DecompositionData,
@@ -139,7 +139,6 @@ __all__ = [
     "fuzz_suite",
     "global_pairing",
     "global_symbol",
-    "group_from_relations",
     "hermite_row_basis",
     "hilbert_symbol",
     "hstack",

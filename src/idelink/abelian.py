@@ -2,12 +2,15 @@
 
 A group is Z^g modulo the column span of a relation matrix. Elements are
 coordinate vectors; equality, order and invariant factors are all decided
-exactly through the cached Smith form of the relations.
+exactly through the Smith form of the relations. That form is computed on
+first use and then cached, so a group built only to carry its relations
+(as most complements are) never pays for its Smith transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import BadDimensions
@@ -16,7 +19,6 @@ from .linalg import IntMatrix, SmithForm, hermite_row_basis, hstack, integer_ker
 __all__ = [
     "FgAbelianGroup",
     "GroupElement",
-    "group_from_relations",
     "element_order",
     "subgroup_invariant_factors",
 ]
@@ -26,7 +28,8 @@ class FgAbelianGroup:
     """Z^generator_count modulo the columns of ``relations``.
 
     invariant_factors lists the nontrivial torsion factors in divisibility
-    order followed by one 0 per free factor; unit factors are dropped.
+    order followed by one 0 per free factor; unit factors are dropped. Both
+    it and ``smith_form`` are computed lazily, once per group.
     """
 
     def __init__(self, generator_count: int, relations: IntMatrix, labels=None):
@@ -39,12 +42,17 @@ class FgAbelianGroup:
         self.generator_count = generator_count
         self.relations = relations
         self.labels = tuple(labels) if labels is not None else None
-        self._snf: SmithForm = smith_normal_form(relations)
-        diag = self._snf.diagonal
-        nonzero = [d for d in diag if d != 0]
+
+    @cached_property
+    def smith_form(self) -> SmithForm:
+        """Smith form U @ relations @ V = D, computed on first use."""
+        return smith_normal_form(self.relations)
+
+    @cached_property
+    def invariant_factors(self) -> tuple[int, ...]:
+        nonzero = [d for d in self.smith_form.diagonal if d != 0]
         torsion = tuple(d for d in nonzero if d != 1)
-        free = generator_count - len(nonzero)
-        self.invariant_factors: tuple[int, ...] = torsion + (0,) * free
+        return torsion + (0,) * (self.generator_count - len(nonzero))
 
     def order(self) -> int | None:
         """Group order, or None when the group is infinite."""
@@ -72,8 +80,9 @@ class FgAbelianGroup:
 
     def is_zero_vector(self, coords) -> bool:
         """Whether the coordinate vector lies in the column span of the relations."""
-        u = self._snf.u.mul_vector(coords)
-        diag = self._snf.diagonal
+        snf = self.smith_form
+        u = snf.u.mul_vector(coords)
+        diag = snf.diagonal
         for i, x in enumerate(u):
             d = diag[i] if i < len(diag) else 0
             if d:
@@ -130,14 +139,9 @@ class GroupElement:
             raise BadDimensions("elements of different groups")
 
 
-def group_from_relations(generator_count: int, relations: IntMatrix, labels=None) -> FgAbelianGroup:
-    """Build Z^g modulo the integer column span of ``relations``."""
-    return FgAbelianGroup(generator_count, relations, labels=labels)
-
-
 def element_order(e: GroupElement) -> int | None:
     """Smallest n >= 1 with n*e = 0, or None when e has infinite order."""
-    snf = e.group._snf
+    snf = e.group.smith_form
     u = snf.u.mul_vector(e.coords)
     diag = snf.diagonal
     n = 1

@@ -175,7 +175,7 @@ def _sample_cover(comp, rng: random.Random):
     """Random finite abelian target with a uniformly sampled well-defined cover."""
     orders = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 2)))
     target = FiniteAbelianGroup(orders)
-    snf = comp.group._snf
+    snf = comp.group.smith_form
     g = comp.group.generator_count
     diag = snf.diagonal
     images = []

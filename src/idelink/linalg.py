@@ -5,6 +5,12 @@ rational solves); no floating point appears anywhere in this package.
 Matrices are immutable value objects and every function is pure and
 deterministic: the Smith form always reduces by the minimal-absolute-value
 pivot, and solution sets are canonicalized against Hermite bases.
+
+Integer kernels never go through the Smith form, whose transforms suffer
+coefficient growth. ``integer_kernel`` takes a fraction-free (Bareiss)
+nullspace, whose entries are minors of the input, then Hermite-reduces the
+lattice of integral free coordinates modulo the nullspace denominator
+(Domich-Kannan-Trotter), so no intermediate entry exceeds that denominator.
 """
 
 from __future__ import annotations
@@ -144,10 +150,6 @@ class SmithForm:
     def diagonal(self) -> tuple[int, ...]:
         k = min(self.d.rows, self.d.cols)
         return tuple(self.d[i, i] for i in range(k))
-
-    @property
-    def pivot_count(self) -> int:
-        return sum(1 for x in self.diagonal if x != 0)
 
 
 def _min_abs_position(m: list[list[int]], start: int) -> tuple[int, int] | None:
@@ -336,18 +338,128 @@ def lattice_reduce(vec, basis_rows: list) -> list[int]:
     return x
 
 
-def integer_kernel(a: IntMatrix) -> IntMatrix:
-    """Basis of {x : a @ x = 0} over the integers, as matrix columns.
+def _fraction_free_nullspace(a: IntMatrix) -> tuple[list[int], list[int], list[list[int]], int]:
+    """Rational kernel of ``a`` by fraction-free (Bareiss) Gauss-Jordan elimination.
 
-    The basis spans the full integral kernel (it is saturated by
-    construction) and is canonicalized by a Hermite reduction, so the result
-    is deterministic and sign-normalized.
+    Pivot columns are chosen right to left, so a column is free exactly when
+    some kernel vector has its first nonzero coordinate there. Returns
+    ``(free, pivots, m, den)``: the free and pivot columns in ascending
+    order, and an integer matrix ``m`` (one row per free column) with
+    ``den >= 1`` such that ``x`` lies in the rational kernel if and only if
+    ``x[pivots] = x[free] @ m / den``. Every intermediate entry is a minor of
+    ``a``, so nothing grows past the Hadamard bound.
     """
-    snf = smith_normal_form(a)
-    rank = snf.pivot_count
-    cols = [list(snf.v.column(j)) for j in range(rank, a.cols)]
-    basis = hermite_row_basis(cols)
-    return IntMatrix.from_columns([list(b) for b in basis], rows=a.cols)
+    work = a.to_rows()
+    den = 1
+    pivot_row: dict[int, int] = {}
+    for c in range(a.cols - 1, -1, -1):
+        r = len(pivot_row)
+        if r == len(work):
+            break
+        found = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if found is None:
+            continue
+        work[r], work[found] = work[found], work[r]
+        prow = work[r]
+        pv = prow[c]
+        for i, row in enumerate(work):
+            if i != r:
+                f = row[c]
+                work[i] = [(pv * x - f * y) // den for x, y in zip(row, prow)]
+        den = pv
+        pivot_row[c] = r
+    pivots = sorted(pivot_row)
+    free = [c for c in range(a.cols) if c not in pivot_row]
+    # every pivot entry now equals den: den * x_p + sum_f work[row(p)][f] * x_f = 0
+    sign = -1 if den > 0 else 1
+    m = [[sign * work[pivot_row[p]][f] for p in pivots] for f in free]
+    return free, pivots, m, abs(den)
+
+
+def _hermite_basis_mod(rows: list, width: int, d: int) -> list[list[int]]:
+    """Canonical Hermite basis of span(rows) + d * Z^width, reduced mod d throughout.
+
+    The lattice holds d * Z^width, so every entry can be kept in [0, d)
+    (Domich-Kannan-Trotter; Cohen, Alg. 2.4.8) and the result has exactly one
+    row per column. It equals ``hermite_row_basis(rows + d * identity)``.
+    """
+    if d < 1:
+        raise ArithmeticError(f"Hermite modulus must be positive, got {d}")
+    work = [[x % d for x in r] for r in rows]
+    basis = []
+    for c in range(width):
+        # merge column c of every row into one pivot row; the others end with 0 there
+        piv = None
+        rest = []
+        for w in work:
+            b = w[c]
+            if not b:
+                if any(w):
+                    rest.append(w)
+            elif piv is None:
+                piv = w
+            else:
+                a = piv[c]
+                g, x, y = _xgcd(a, b)
+                p, q = a // g, b // g
+                cleared = [(p * t - q * s) % d for s, t in zip(piv, w)]
+                piv = [(x * s + y * t) % d for s, t in zip(piv, w)]
+                if any(cleared):
+                    rest.append(cleared)
+        if piv is None:
+            row = [0] * width
+            row[c] = d
+        else:
+            # (piv, d e_c) -> (u piv + v d e_c, -(d/h) piv + (a/h) d e_c) is unimodular
+            h, u, _ = _xgcd(piv[c], d)
+            row = [u * s % d for s in piv]
+            left = [(d // h) * s % d for s in piv]
+            if any(left):
+                rest.append(left)
+        basis.append(row)
+        work = rest
+    # reduce above each pivot; d * Z^width lies in the lattice, so entries stay in [0, d)
+    for r in range(width - 2, -1, -1):
+        row = basis[r]
+        for i in range(r + 1, width):
+            q = row[i] // basis[i][i]
+            if q:
+                row[i:] = [(s - q * t) % d for s, t in zip(row[i:], basis[i][i:])]
+    return basis
+
+
+def integer_kernel(a: IntMatrix) -> IntMatrix:
+    """Hermite basis of {x : a @ x = 0} over the integers, as matrix columns.
+
+    No Smith form is involved. A fraction-free nullspace with pivot columns
+    chosen right to left gives the free columns, which are exactly the
+    Hermite pivot columns of the kernel, and ``x_pivots = y @ m / den`` for
+    the free coordinates ``y``. The integral kernel is the lift of the
+    lattice {y : y @ m = 0 mod den}; its Hermite basis is the identity block
+    of the Hermite basis of ``[m | I] + den * Z^n``, computed modulo ``den``,
+    so no entry of that reduction grows past ``den``. The lifted rows are
+    already reduced above their pivots, which all lie among the free columns,
+    so the output is the canonical, saturated, sign-normalized Hermite basis
+    of the kernel.
+    """
+    free, pivots, m, den = _fraction_free_nullspace(a)
+    k, p = len(free), len(pivots)
+    if not k:
+        return IntMatrix(a.cols, 0, ())
+    gens = [m[i] + [1 if j == i else 0 for j in range(k)] for i in range(k)]
+    cols = []
+    for row in _hermite_basis_mod(gens, p + k, den)[p:]:
+        y = row[p:]
+        x = [0] * a.cols
+        for f, t in zip(free, y):
+            x[f] = t
+        for j, c in enumerate(pivots):
+            q, rem = divmod(sum(t * mi[j] for t, mi in zip(y, m)), den)
+            if rem:
+                raise ArithmeticError("kernel vector does not lift to an integer vector")
+            x[c] = q
+        cols.append(x)
+    return IntMatrix.from_columns(cols, rows=a.cols)
 
 
 def _solve_via_snf(snf: SmithForm, a_cols: int, c) -> list[int] | None:
@@ -371,11 +483,6 @@ def solve_integer(a: IntMatrix, c) -> list[int] | None:
     if len(c) != a.rows:
         raise ValueError("right-hand side length disagrees with row count")
     return _solve_via_snf(smith_normal_form(a), a.cols, c)
-
-
-def in_column_space(b: IntMatrix, c) -> bool:
-    """Whether c lies in the integer column span of b."""
-    return solve_integer(b, c) is not None
 
 
 def solve_mod_subgroup(a: IntMatrix, b: IntMatrix, c) -> list[int] | None:

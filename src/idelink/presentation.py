@@ -227,12 +227,12 @@ class Manifold:
                 expressions=None,
                 subgroup_factors=subgroup_invariant_factors(self.h1, class_vectors),
             )
-        diag = self.h1._snf.diagonal
+        diag = self.h1.smith_form.diagonal
         targets = [i for i, d in enumerate(diag) if d != 1]
         expressions = []
         if targets:
             gen_matrix = IntMatrix.from_columns(class_vectors, rows=s)
-            u = self.h1._snf.u
+            u = self.h1.smith_form.u
             for i in targets:
                 unit = [1 if t == i else 0 for t in range(s)]
                 gen = solve_rational(u, unit)

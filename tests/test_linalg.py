@@ -2,7 +2,8 @@
 
 The Smith form is cross-checked against the determinantal-divisor oracle
 (gcd of all k x k minors), the Bareiss determinant against cofactor
-expansion, and solve_mod_subgroup against exhaustive search.
+expansion, solve_mod_subgroup against exhaustive search, and the integer
+kernel against the Smith-transform route it replaced.
 """
 
 import itertools
@@ -13,8 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import manifold
+
+from idelink import Divisor, complement_homology, kummer_cover, principal_lattice_basis
+from idelink import abelian
 from idelink.linalg import (
     IntMatrix,
+    _hermite_basis_mod,
     determinant,
     hermite_row_basis,
     hstack,
@@ -157,6 +163,94 @@ def test_kernel_is_annihilated_and_canonical(m):
     # canonical: re-running hermite reduction on the generators changes nothing
     rows = [[k[i, j] for i in range(k.rows)] for j in range(k.cols)]
     assert hermite_row_basis(rows) == rows
+
+
+def kernel_via_smith(a: IntMatrix) -> IntMatrix:
+    """Oracle: the columns of the Smith transform V past the rank, Hermite-reduced."""
+    snf = smith_normal_form(a)
+    rank = sum(1 for d in snf.diagonal if d)
+    cols = [list(snf.v.column(j)) for j in range(rank, a.cols)]
+    return IntMatrix.from_columns(hermite_row_basis(cols), rows=a.cols)
+
+
+def random_kernel_input(rng: random.Random, kind: int) -> IntMatrix:
+    bound = rng.choice((1, 3, 50))
+    if kind == 0:
+        rows, cols = 0, rng.randint(0, 6)
+    elif kind == 1:
+        rows, cols = rng.randint(0, 6), 0
+    elif kind == 2:  # tall
+        cols = rng.randint(1, 5)
+        rows = rng.randint(cols + 1, 7)
+    elif kind == 3:  # wide
+        rows = rng.randint(1, 5)
+        cols = rng.randint(rows + 1, 8)
+    else:  # square, or rank-deficient: one row a multiple of another
+        rows = cols = rng.randint(2, 6)
+    m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+    if kind == 5:
+        i, j = rng.sample(range(rows), 2)
+        m[j] = [rng.randint(-2, 2) * x for x in m[i]]
+    return IntMatrix(rows, cols, tuple(x for r in m for x in r))
+
+
+def test_kernel_matches_smith_route_oracle():
+    rng = random.Random(2204)
+    for t in range(2400):
+        a = random_kernel_input(rng, t % 6)
+        assert integer_kernel(a) == kernel_via_smith(a), str(a)
+
+
+def test_kernel_of_empty_shapes():
+    assert integer_kernel(IntMatrix(0, 3, ())) == IntMatrix.identity(3)
+    assert integer_kernel(IntMatrix(2, 0, ())) == IntMatrix(0, 0, ())
+    assert integer_kernel(IntMatrix.zeros(2, 2)) == IntMatrix.identity(2)
+
+
+@pytest.mark.parametrize("modulus", [1, 101, 360])
+def test_hermite_mod_matches_hermite_of_augmented_generators(modulus):
+    rng = random.Random(modulus)
+    for _ in range(300):
+        width = rng.randint(1, 6)
+        gens = [[rng.randint(-40, 40) for _ in range(width)] for _ in range(rng.randint(0, 6))]
+        if gens and rng.random() < 0.3:
+            gens.append([0] * width)
+        scaled = [[modulus if i == j else 0 for j in range(width)] for i in range(width)]
+        assert _hermite_basis_mod(gens, width, modulus) == hermite_row_basis(gens + scaled)
+
+
+def test_hermite_mod_rejects_nonpositive_modulus():
+    for d in (0, -3):
+        with pytest.raises(ArithmeticError):
+            _hermite_basis_mod([[1, 2]], 2, d)
+
+
+TWO_KNOTS = {
+    "surgery": {"components": ["L1", "L2"], "matrix": [[2, 1], [1, 3]]},
+    "link": {
+        "components": ["K1", "K2"],
+        "lk_with_surgery": [[1, 0], [0, 1]],
+        "lk_mutual": [[0, 1], [1, 0]],
+    },
+}
+
+
+def test_complement_queries_run_no_smith_form_on_the_complement(monkeypatch):
+    inputs = []
+    real = abelian.smith_normal_form
+
+    def counting(a):
+        inputs.append(a)
+        return real(a)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", counting)
+    comp = complement_homology(manifold(TWO_KNOTS))
+    assert principal_lattice_basis(comp)
+    kummer_cover(comp, Divisor.of({"K1": 2, "K2": 1}), 3)
+    assert inputs, "the admissibility check inside kummer_cover takes a Smith form"
+    assert sum(a == comp.relations for a in inputs) == 0
+    assert comp.group.invariant_factors == (0, 0)
+    assert sum(a == comp.relations for a in inputs) == 1
 
 
 def test_solve_integer_and_rational_agree():
