@@ -70,6 +70,7 @@ from .linalg import (
     hermite_row_basis,
     hstack,
     integer_kernel,
+    preimage_lattice,
     smith_normal_form,
     solve_integer,
     solve_mod_subgroup,
@@ -152,6 +153,7 @@ __all__ = [
     "local_symbol",
     "make_cover",
     "preferred_longitude",
+    "preimage_lattice",
     "presentation_from_dict",
     "presentation_to_dict",
     "principal_lattice_basis",

@@ -14,7 +14,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import BadDimensions
-from .linalg import IntMatrix, SmithForm, hermite_row_basis, hstack, integer_kernel, smith_normal_form
+from .linalg import IntMatrix, SmithForm, preimage_lattice, smith_normal_form
 
 __all__ = [
     "FgAbelianGroup",
@@ -80,17 +80,7 @@ class FgAbelianGroup:
 
     def is_zero_vector(self, coords) -> bool:
         """Whether the coordinate vector lies in the column span of the relations."""
-        snf = self.smith_form
-        u = snf.u.mul_vector(coords)
-        diag = snf.diagonal
-        for i, x in enumerate(u):
-            d = diag[i] if i < len(diag) else 0
-            if d:
-                if x % d:
-                    return False
-            elif x:
-                return False
-        return True
+        return element_order(self.element(coords)) == 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FgAbelianGroup):
@@ -157,14 +147,10 @@ def element_order(e: GroupElement) -> int | None:
 
 def subgroup_invariant_factors(group: FgAbelianGroup, vectors) -> tuple[int, ...]:
     """Invariant factors of the subgroup generated by the given coordinate vectors."""
-    vectors = [tuple(int(x) for x in v) for v in vectors]
+    vectors = [[int(x) for x in v] for v in vectors]
     k = len(vectors)
     if k == 0:
         return ()
-    gen_matrix = IntMatrix.from_columns([list(v) for v in vectors], rows=group.generator_count)
-    combined = hstack(gen_matrix, group.relations)
-    ker = integer_kernel(combined)
-    proj = [[ker[i, j] for i in range(k)] for j in range(ker.cols)]
-    basis = hermite_row_basis(proj)
-    rel = IntMatrix.from_columns([list(b) for b in basis], rows=k)
-    return FgAbelianGroup(k, rel).invariant_factors
+    gen_matrix = IntMatrix.from_columns(vectors, rows=group.generator_count)
+    basis = preimage_lattice(gen_matrix, group.relations)
+    return FgAbelianGroup(k, IntMatrix.from_columns(basis, rows=k)).invariant_factors

@@ -16,9 +16,9 @@ import sys
 from fractions import Fraction
 
 from .covers import CoverSpec, decomposition_data, global_symbol, hilbert_symbol, kummer_cover, local_symbol
-from .errors import BadInput, IdelinkError, SupportOutsideLink
+from .errors import BadInput, IdelinkError
 from .fuzz import FuzzConfig, fuzz_suite
-from .ideles import Divisor, Idele, delta_from_divisor, global_pairing, idele_class_group, is_principal, principal_lattice_basis
+from .ideles import Divisor, Idele, delta_from_divisor, global_pairing, idele_class_group, is_principal, principal_lattice_basis, require_support
 from .local import complement_homology, preferred_longitude
 from .presentation import Manifold, load_and_validate, presentation_from_dict
 
@@ -77,16 +77,6 @@ def _parse_divisor(text: str) -> Divisor:
             raise BadInput(f"divisor coefficient in {item!r} must be an integer") from exc
         parts[name] = parts.get(name, 0) + c
     return Divisor.of(parts)
-
-
-def _check_support(man: Manifold, link, *ideles) -> None:
-    allowed = set(link)
-    for a in ideles:
-        for k in a.support:
-            if k not in allowed:
-                raise SupportOutsideLink(
-                    f"component at {k!r} lies outside the sublink {list(link)}"
-                )
 
 
 def _cmd_info(args):
@@ -162,7 +152,7 @@ def _cmd_pairing(args):
     link = man.sublink(_parse_link(args.link))
     a = Idele.from_dict(_parse_json(args.a, "--a"))
     b = Idele.from_dict(_parse_json(args.b, "--b"))
-    _check_support(man, link, a, b)
+    require_support(link, a.support, b.support)
     return {"iota": str(global_pairing(a, b))}, 0
 
 
@@ -210,7 +200,7 @@ def _cmd_hilbert(args):
     link = man.sublink(_parse_link(args.link))
     a = Idele.from_dict(_parse_json(args.a, "--a"))
     b = Idele.from_dict(_parse_json(args.b, "--b"))
-    _check_support(man, link, a, b)
+    require_support(link, a.support, b.support)
     if args.knot not in link:
         raise BadInput(f"knot {args.knot!r} is not in the sublink {list(link)}")
     return {"symbol": hilbert_symbol(a, b, args.knot, args.n)}, 0

@@ -29,8 +29,8 @@ from .errors import (
     NotAdmissible,
 )
 from .linalg import IntMatrix, hstack
-from .local import ComplementHomology, PeripheralClass
-from .ideles import Divisor, Idele, _delta_solution, idele_coords
+from .local import ComplementHomology, PeripheralClass, complement_homology, local_intersection
+from .ideles import Divisor, Idele, delta_solution, idele_coords
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -72,9 +72,6 @@ class FiniteAbelianGroup:
 
     def add(self, a, b) -> tuple[int, ...]:
         return self.reduce(tuple(x + y for x, y in zip(a, b)))
-
-    def scale(self, k: int, a) -> tuple[int, ...]:
-        return self.reduce(tuple(k * x for x in a))
 
     def element_order(self, a) -> int:
         a = self.reduce(a)
@@ -156,8 +153,6 @@ class CoverSpec:
 
     @staticmethod
     def from_dict(manifold, data) -> "CoverSpec":
-        from .local import complement_homology
-
         if not isinstance(data, dict):
             raise BadInput("cover must be a JSON object")
         try:
@@ -253,7 +248,7 @@ def kummer_cover(comp: ComplementHomology, divisor: Divisor, modulus: int) -> Ku
             "the sublink's knot classes do not generate H1(M); "
             "the pairing does not factor through a cover of this stage"
         )
-    t, boundary = _delta_solution(comp, divisor)
+    t, boundary = delta_solution(comp, divisor)
     target = FiniteAbelianGroup((modulus,))
     values = [(-tj % modulus,) for tj in t]
     values += [(divisor.coefficient(k) % modulus,) for k in comp.link]
@@ -266,6 +261,4 @@ def hilbert_symbol(a: Idele, b: Idele, knot: str, modulus: int) -> int:
     """Local intersection of two idele components at one knot, mod modulus."""
     if modulus < 2:
         raise BadModulus(f"modulus must be at least 2, got {modulus}")
-    from .local import local_intersection
-
     return local_intersection(a.component(knot), b.component(knot)) % modulus

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .abelian import FgAbelianGroup, GroupElement
 from .errors import BadInput, DivisorNotPrincipal, SupportOutsideLink
-from .linalg import IntMatrix, hermite_row_basis, hstack, integer_kernel, solve_integer
+from .linalg import IntMatrix, hstack, preimage_lattice, solve_integer
 from .local import ComplementHomology, PeripheralClass, local_intersection
 
 __all__ = [
@@ -28,8 +28,10 @@ __all__ = [
     "Divisor",
     "ClassGroupData",
     "embed_local",
+    "require_support",
     "rho_tilde",
     "is_principal",
+    "delta_solution",
     "delta_from_divisor",
     "principal_lattice_basis",
     "idele_class_group",
@@ -160,16 +162,18 @@ class ClassGroupData:
     coker_invariants: tuple[int, ...]
 
 
-def _require_support(comp: ComplementHomology, support) -> None:
-    allowed = set(comp.link)
-    for k in support:
-        if k not in allowed:
-            raise SupportOutsideLink(f"component at {k!r} lies outside the sublink {list(comp.link)}")
+def require_support(link, *supports) -> None:
+    """Raise SupportOutsideLink unless every knot of every support lies in the sublink."""
+    allowed = set(link)
+    for support in supports:
+        for k in support:
+            if k not in allowed:
+                raise SupportOutsideLink(f"component at {k!r} lies outside the sublink {list(link)}")
 
 
 def idele_coords(comp: ComplementHomology, a: Idele) -> tuple[int, ...]:
     """Coordinate vector of the reassembled idele in H1(M - L), pre-quotient."""
-    _require_support(comp, a.support)
+    require_support(comp.link, a.support)
     n = comp.group.generator_count
     total = [0] * n
     for k, x, y in a.parts:
@@ -190,13 +194,13 @@ def is_principal(comp: ComplementHomology, a: Idele) -> bool:
     return rho_tilde(comp, a).is_zero()
 
 
-def _delta_solution(comp: ComplementHomology, divisor: Divisor) -> tuple[list[int], Idele]:
+def delta_solution(comp: ComplementHomology, divisor: Divisor) -> tuple[list[int], Idele]:
     """Solve for the principal idele with the divisor's longitude coefficients.
 
     Returns (t, idele) where t solves surgery_matrix @ t = lk_with_surgery^T d;
     raises DivisorNotPrincipal when the divisor class is nonzero in H1(M).
     """
-    _require_support(comp, divisor.support)
+    require_support(comp.link, divisor.support)
     man = comp.manifold
     pres = man.presentation
     s = len(man.surgery_names)
@@ -220,18 +224,8 @@ def _delta_solution(comp: ComplementHomology, divisor: Divisor) -> tuple[list[in
 
 def delta_from_divisor(comp: ComplementHomology, divisor: Divisor) -> Idele:
     """The unique principal idele whose longitude coefficients are the divisor."""
-    _, idele = _delta_solution(comp, divisor)
+    _, idele = delta_solution(comp, divisor)
     return idele
-
-
-def _principal_basis_rows(comp: ComplementHomology) -> list[list[int]]:
-    """Hermite basis rows of ker(rho) in (meridian, longitude) pair coordinates."""
-    p = comp.peripheral_matrix()
-    combined = hstack(p, comp.relations)
-    kernel = integer_kernel(combined)
-    width = p.cols
-    proj = [[kernel[i, j] for i in range(width)] for j in range(kernel.cols)]
-    return hermite_row_basis(proj)
 
 
 def _idele_from_pairs(link, vec) -> Idele:
@@ -240,16 +234,17 @@ def _idele_from_pairs(link, vec) -> Idele:
 
 def principal_lattice_basis(comp: ComplementHomology) -> list[Idele]:
     """Basis of the lattice of principal ideles supported on the sublink."""
-    return [_idele_from_pairs(comp.link, row) for row in _principal_basis_rows(comp)]
+    basis = preimage_lattice(comp.peripheral_matrix(), comp.relations)
+    return [_idele_from_pairs(comp.link, row) for row in basis]
 
 
 def idele_class_group(comp: ComplementHomology) -> ClassGroupData:
     """Invariant factors of ideles mod principal ideles, and of coker(rho)."""
     width = 2 * len(comp.link)
-    basis = _principal_basis_rows(comp)
-    rel = IntMatrix.from_columns([list(b) for b in basis], rows=width)
-    class_invariants = FgAbelianGroup(width, rel).invariant_factors
-    coker_rel = hstack(comp.relations, comp.peripheral_matrix())
+    peripheral = comp.peripheral_matrix()
+    basis = preimage_lattice(peripheral, comp.relations)
+    class_invariants = FgAbelianGroup(width, IntMatrix.from_columns(basis, rows=width)).invariant_factors
+    coker_rel = hstack(comp.relations, peripheral)
     coker_invariants = FgAbelianGroup(comp.group.generator_count, coker_rel).invariant_factors
     return ClassGroupData(
         link=comp.link,

@@ -11,6 +11,12 @@ coefficient growth. ``integer_kernel`` takes a fraction-free (Bareiss)
 nullspace, whose entries are minors of the input, then Hermite-reduces the
 lattice of integral free coordinates modulo the nullspace denominator
 (Domich-Kannan-Trotter), so no intermediate entry exceeds that denominator.
+
+Every lattice question of the form "which x satisfy a @ x in colspan(b)?"
+(principal ideles, subgroups generated by classes, preferred longitudes,
+solutions modulo a subgroup) goes through ``preimage_lattice``, the one
+lattice route: it slices the canonical kernel basis of ``[a | b]`` and
+needs no second Hermite pass.
 """
 
 from __future__ import annotations
@@ -462,11 +468,28 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols, rows=a.cols)
 
 
-def _solve_via_snf(snf: SmithForm, a_cols: int, c) -> list[int] | None:
-    """One integer solution x of A x = c given the Smith form of A."""
+def preimage_lattice(a: IntMatrix, b: IntMatrix) -> list[list[int]]:
+    """Canonical Hermite row basis of {x : a @ x lies in the integer column span of b}.
+
+    The lattice is the projection of ker [a | b] onto its first ``a.cols``
+    coordinates. ``integer_kernel`` returns the canonical Hermite basis of
+    that kernel, each pivot at its row's first nonzero entry, so the rows
+    whose pivot falls among those coordinates, cut down to them, are already
+    the Hermite basis of the projection; the other rows project to zero.
+    """
+    ker = integer_kernel(hstack(a, b))
+    rows = [list(ker.column(j)[: a.cols]) for j in range(ker.cols)]
+    return [r for r in rows if any(r)]
+
+
+def solve_integer(a: IntMatrix, c) -> list[int] | None:
+    """Some integer solution of a @ x = c, or None when none exists."""
+    if len(c) != a.rows:
+        raise ValueError("right-hand side length disagrees with row count")
+    snf = smith_normal_form(a)
     uc = snf.u.mul_vector(c)
     diag = snf.diagonal
-    w = [0] * a_cols
+    w = [0] * a.cols
     for i in range(len(uc)):
         d = diag[i] if i < len(diag) else 0
         if d:
@@ -478,32 +501,19 @@ def _solve_via_snf(snf: SmithForm, a_cols: int, c) -> list[int] | None:
     return list(snf.v.mul_vector(w))
 
 
-def solve_integer(a: IntMatrix, c) -> list[int] | None:
-    """Some integer solution of a @ x = c, or None when none exists."""
-    if len(c) != a.rows:
-        raise ValueError("right-hand side length disagrees with row count")
-    return _solve_via_snf(smith_normal_form(a), a.cols, c)
-
-
 def solve_mod_subgroup(a: IntMatrix, b: IntMatrix, c) -> list[int] | None:
     """Canonical x with a @ x - c in the integer column span of b, else None.
 
-    The solution is unique as a coset of the projected kernel lattice; the
-    representative returned is the Hermite-reduced one, so equal inputs give
-    identical output.
+    The solution is unique as a coset of ``preimage_lattice(a, b)``; the
+    representative returned is reduced against that Hermite basis, so equal
+    inputs give identical output.
     """
     if a.rows != b.rows or len(c) != a.rows:
         raise ValueError("incompatible shapes")
-    combined = hstack(a, b)
-    full = solve_integer(combined, c)
+    full = solve_integer(hstack(a, b), c)
     if full is None:
         return None
-    p = a.cols
-    x0 = full[:p]
-    ker = integer_kernel(combined)
-    proj = [[ker[i, j] for i in range(p)] for j in range(ker.cols)]
-    basis = hermite_row_basis(proj)
-    return lattice_reduce(x0, basis)
+    return lattice_reduce(full[: a.cols], preimage_lattice(a, b))
 
 
 def determinant(a: IntMatrix) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .abelian import FgAbelianGroup, GroupElement
 from .errors import KnotOutsideLink, MismatchedKnot
-from .linalg import IntMatrix, hstack, integer_kernel
+from .linalg import IntMatrix, preimage_lattice
 from .presentation import Manifold
 
 __all__ = [
@@ -175,15 +175,10 @@ def preferred_longitude(manifold: Manifold, knot: str) -> LongitudeData:
     kernel exactly.
     """
     comp = complement_homology(manifold, (knot,))
-    peripheral = IntMatrix.from_columns(
-        [list(comp.meridian_coords(knot)), list(comp.longitude_coords(knot))],
-        rows=comp.group.generator_count,
-    )
-    combined = hstack(peripheral, comp.relations)
-    kernel = integer_kernel(combined)
-    assert kernel.cols == 1, "peripheral kernel must have rank one over a QHS3"
-    x, y = kernel[0, 0], kernel[1, 0]
-    assert y != 0, "kernel generator must have nonzero longitude coefficient"
+    basis = preimage_lattice(comp.peripheral_matrix(), comp.relations)
+    if len(basis) != 1 or basis[0][1] == 0:
+        raise ArithmeticError(f"peripheral kernel of {knot!r} is not one class with nonzero longitude: {basis}")
+    x, y = basis[0]
     if y < 0:
         x, y = -x, -y
     return LongitudeData(lambda_class=PeripheralClass(knot, x, y), index=y, is_basis=(y == 1))

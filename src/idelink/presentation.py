@@ -216,12 +216,7 @@ class Manifold:
         link = self.sublink(link)
         s = len(self.surgery_names)
         class_vectors = [list(self.presentation.lk_with_surgery.row(self.knot_index(k))) for k in link]
-        relations = self.h1.relations
-        if class_vectors:
-            quotient = FgAbelianGroup(s, hstack(relations, IntMatrix.from_columns(class_vectors, rows=s)))
-        else:
-            quotient = self.h1
-        if not quotient.is_trivial():
+        if not self.generates_h1(link):
             return AdmissibilityCertificate(
                 admissible=False,
                 expressions=None,
@@ -239,7 +234,7 @@ class Manifold:
                 assert gen is not None
                 gen_int = [int(x) for x in gen]
                 assert all(x == y for x, y in zip(gen, gen_int))  # u is unimodular
-                coeffs = solve_mod_subgroup(gen_matrix, relations, gen_int)
+                coeffs = solve_mod_subgroup(gen_matrix, self.h1.relations, gen_int)
                 assert coeffs is not None  # quotient is trivial, so solvable
                 expressions.append({k: c for k, c in zip(link, coeffs) if c})
         return AdmissibilityCertificate(

@@ -144,12 +144,14 @@ def test_error_paths(capsys, hopf_path, lens5_path):
 
     code, out = run(capsys, "delta", hopf_path, "--divisor", "K9=1")
     assert (code, out["error"]) == (2, "support_outside_link")
+    assert out["detail"] == "component at 'K9' lies outside the sublink ['K1', 'K2']"
 
     code, out = run(capsys, "delta", hopf_path, "--divisor", "K1")
     assert (code, out["error"]) == (2, "bad_input")
 
     code, out = run(capsys, "pairing", hopf_path, "--link", "K1", "--a", '{"K2":[1,0]}', "--b", "{}")
     assert (code, out["error"]) == (2, "support_outside_link")
+    assert out["detail"] == "component at 'K2' lies outside the sublink ['K1']"
 
     code, out = run(capsys, "kummer", hopf_path, "--divisor", "K1=1", "--n", "1")
     assert (code, out["error"]) == (2, "bad_modulus")

@@ -2,8 +2,9 @@
 
 The Smith form is cross-checked against the determinantal-divisor oracle
 (gcd of all k x k minors), the Bareiss determinant against cofactor
-expansion, solve_mod_subgroup against exhaustive search, and the integer
-kernel against the Smith-transform route it replaced.
+expansion, solve_mod_subgroup against exhaustive search, the integer
+kernel against the Smith-transform route it replaced, and preimage_lattice
+against a second Hermite pass over its sliced kernel.
 """
 
 import itertools
@@ -26,6 +27,7 @@ from idelink.linalg import (
     hstack,
     integer_kernel,
     lattice_reduce,
+    preimage_lattice,
     smith_normal_form,
     solve_integer,
     solve_mod_subgroup,
@@ -223,6 +225,50 @@ def test_hermite_mod_rejects_nonpositive_modulus():
     for d in (0, -3):
         with pytest.raises(ArithmeticError):
             _hermite_basis_mod([[1, 2]], 2, d)
+
+
+def preimage_via_rehermite(a: IntMatrix, b: IntMatrix) -> list[list[int]]:
+    """Oracle: a second Hermite pass over the leading-coordinate slice of ker [a | b]."""
+    ker = integer_kernel(hstack(a, b))
+    return hermite_row_basis([[ker[i, j] for i in range(a.cols)] for j in range(ker.cols)])
+
+
+def random_preimage_input(rng: random.Random, kind: int) -> tuple[IntMatrix, IntMatrix]:
+    bound = rng.choice((1, 3, 50))
+    rows, p, q = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 4)
+    if kind == 0:
+        rows = 0
+    elif kind == 1:
+        p = 0
+    elif kind == 2:
+        q = 0
+    a = [[rng.randint(-bound, bound) for _ in range(p)] for _ in range(rows)]
+    b = [[rng.randint(-bound, bound) for _ in range(q)] for _ in range(rows)]
+    if kind == 3 and q:  # rank-deficient b: one column a multiple of another, or zero
+        i, j = rng.randrange(q), rng.randrange(q)
+        k = 0 if i == j else rng.randint(-2, 2)
+        for r in b:
+            r[j] = k * r[i]
+    return IntMatrix(rows, p, tuple(x for r in a for x in r)), IntMatrix(rows, q, tuple(x for r in b for x in r))
+
+
+def test_preimage_lattice_matches_rehermite_of_sliced_kernel():
+    rng = random.Random(3303)
+    for t in range(2400):
+        a, b = random_preimage_input(rng, t % 5)
+        assert preimage_lattice(a, b) == preimage_via_rehermite(a, b), (str(a), str(b))
+
+
+def test_preimage_lattice_frozen_examples():
+    # 2x in 4Z exactly when x is even
+    assert preimage_lattice(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[4]])) == [[2]]
+    # x1 + x2 = 0 mod 3
+    assert preimage_lattice(IntMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[3]])) == [[1, 2], [0, 3]]
+    # (x1, x2) in Z * (2, 0)
+    assert preimage_lattice(IntMatrix.identity(2), IntMatrix.from_rows([[2], [0]])) == [[2, 0]]
+    # no conditions, and no coordinates
+    assert preimage_lattice(IntMatrix(0, 2, ()), IntMatrix(0, 1, ())) == [[1, 0], [0, 1]]
+    assert preimage_lattice(IntMatrix(2, 0, ()), IntMatrix.identity(2)) == []
 
 
 TWO_KNOTS = {
