@@ -70,6 +70,7 @@ from .linalg import (
     hermite_row_basis,
     hstack,
     integer_kernel,
+    leading_block_inverse,
     preimage_lattice,
     smith_normal_form,
     solve_integer,
@@ -148,6 +149,7 @@ __all__ = [
     "integer_kernel",
     "is_principal",
     "kummer_cover",
+    "leading_block_inverse",
     "load_and_validate",
     "local_intersection",
     "local_symbol",

@@ -1,10 +1,15 @@
 """Finitely generated abelian groups presented by integer relation matrices.
 
 A group is Z^g modulo the column span of a relation matrix. Elements are
-coordinate vectors; equality, order and invariant factors are all decided
-exactly through the Smith form of the relations. That form is computed on
-first use and then cached, so a group built only to carry its relations
-(as most complements are) never pays for its Smith transforms.
+coordinate vectors. When the leading square block of the relations is
+nonsingular (H1 of a rational homology sphere, and every link complement,
+whose leading block is the surgery matrix), element orders and equality
+come from a fraction-free inverse of that block: the order of x is the
+least common denominator of the rational solution of relations @ t = x.
+Invariant factors, and element tests in any other group, come from the
+Smith form of the relations. Both are computed on first use and then
+cached, so a group built only to carry its relations (as most complements
+are) never pays for its Smith transforms.
 """
 
 from __future__ import annotations
@@ -14,7 +19,14 @@ from functools import cached_property
 from math import gcd
 
 from .errors import BadDimensions
-from .linalg import IntMatrix, SmithForm, preimage_lattice, smith_normal_form
+from .linalg import (
+    IntMatrix,
+    SmithForm,
+    block_solve,
+    leading_block_inverse,
+    preimage_lattice,
+    smith_normal_form,
+)
 
 __all__ = [
     "FgAbelianGroup",
@@ -28,8 +40,8 @@ class FgAbelianGroup:
     """Z^generator_count modulo the columns of ``relations``.
 
     invariant_factors lists the nontrivial torsion factors in divisibility
-    order followed by one 0 per free factor; unit factors are dropped. Both
-    it and ``smith_form`` are computed lazily, once per group.
+    order followed by one 0 per free factor; unit factors are dropped. It,
+    ``smith_form`` and ``block_inverse`` are computed lazily, once per group.
     """
 
     def __init__(self, generator_count: int, relations: IntMatrix, labels=None):
@@ -47,6 +59,11 @@ class FgAbelianGroup:
     def smith_form(self) -> SmithForm:
         """Smith form U @ relations @ V = D, computed on first use."""
         return smith_normal_form(self.relations)
+
+    @cached_property
+    def block_inverse(self) -> tuple[IntMatrix, int] | None:
+        """``leading_block_inverse`` of the relations, computed on first use."""
+        return leading_block_inverse(self.relations)
 
     @cached_property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -131,7 +148,17 @@ class GroupElement:
 
 def element_order(e: GroupElement) -> int | None:
     """Smallest n >= 1 with n*e = 0, or None when e has infinite order."""
-    snf = e.group.smith_form
+    group = e.group
+    inverse = group.block_inverse
+    if inverse is not None:
+        # relations @ (t / den) = e: infinite order unless that rational system
+        # is consistent, and then the order is the denominator of t / den
+        t = block_solve(group.relations, inverse, e.coords)
+        if t is None:
+            return None
+        den = inverse[1]
+        return den // gcd(den, *t)
+    snf = group.smith_form
     u = snf.u.mul_vector(e.coords)
     diag = snf.diagonal
     n = 1

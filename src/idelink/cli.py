@@ -91,7 +91,7 @@ def _cmd_info(args):
         }
     payload = {
         "h1": [str(f) for f in man.h1.invariant_factors],
-        "admissible": bool(man.is_admissible()),
+        "admissible": man.generates_h1(man.knot_names),
         "knots": knots,
     }
     return payload, 0

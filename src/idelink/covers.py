@@ -93,7 +93,8 @@ class FiniteAbelianGroup:
         else:
             rel = diag
         quotient = FgAbelianGroup(t, rel).order()
-        assert quotient is not None
+        if quotient is None:
+            raise ArithmeticError("a quotient of a finite group came out infinite")
         return self.order() // quotient
 
     def is_surjective(self, generators) -> bool:

@@ -16,7 +16,15 @@ Every lattice question of the form "which x satisfy a @ x in colspan(b)?"
 (principal ideles, subgroups generated by classes, preferred longitudes,
 solutions modulo a subgroup) goes through ``preimage_lattice``, the one
 lattice route: it slices the canonical kernel basis of ``[a | b]`` and
-needs no second Hermite pass.
+needs no second Hermite pass. ``solve_mod_subgroup`` reads its canonical
+solution off the same lattice, with the target as one more column.
+
+Element tests against a relation matrix whose leading square block is
+nonsingular (every surgery matrix is) go through ``leading_block_inverse``,
+a fraction-free inverse of that block whose entries are minors: the rational
+solution of ``a @ t = c`` is ``n @ c_top / den``, so ``solve_integer`` and
+element orders need no Smith form there. The Smith form remains for
+invariant factors and for relation matrices without such a block.
 """
 
 from __future__ import annotations
@@ -120,7 +128,7 @@ class IntMatrix:
     def mul_vector(self, vec) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length disagrees with column count")
-        return tuple(sum(self.row(i)[k] * vec[k] for k in range(self.cols)) for i in range(self.rows))
+        return tuple(sum(x * y for x, y in zip(self.row(i), vec)) for i in range(self.rows))
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -482,10 +490,78 @@ def preimage_lattice(a: IntMatrix, b: IntMatrix) -> list[list[int]]:
     return [r for r in rows if any(r)]
 
 
+def leading_block_inverse(a: IntMatrix) -> tuple[IntMatrix, int] | None:
+    """Fraction-free inverse ``(n, den)`` of the leading ``a.cols x a.cols`` block.
+
+    With ``top`` that block, ``top @ n = den * I`` and ``den = |det top| >= 1``.
+    A fraction-free (Bareiss) Gauss-Jordan elimination on ``[top | I]``
+    keeps every intermediate entry a minor of that matrix, so nothing grows
+    past the Hadamard bound; each division is checked exact. Returns None
+    when ``a`` has fewer rows than columns or the block is singular.
+    """
+    k = a.cols
+    if a.rows < k:
+        return None
+    work = [list(a.row(i)) + [1 if j == i else 0 for j in range(k)] for i in range(k)]
+    den = 1
+    # step c updates only the columns after c: the left block's columns up to c
+    # are never read again, and would end as den * I
+    for c in range(k):
+        found = next((i for i in range(c, k) if work[i][c]), None)
+        if found is None:
+            return None
+        work[c], work[found] = work[found], work[c]
+        prow = work[c]
+        pv = prow[c]
+        tail = prow[c + 1 :]
+        for i, row in enumerate(work):
+            if i != c:
+                f = row[c]
+                new = []
+                for x, y in zip(row[c + 1 :], tail):
+                    q, rem = divmod(pv * x - f * y, den)
+                    if rem:
+                        raise ArithmeticError("inexact division in fraction-free elimination")
+                    new.append(q)
+                row[c + 1 :] = new
+        den = pv
+    # with the left block at den * I, the right block is den * top^-1
+    sign = -1 if den < 0 else 1
+    n = IntMatrix(k, k, tuple(sign * x for row in work for x in row[k:]))
+    return n, sign * den
+
+
+def block_solve(a: IntMatrix, inverse: tuple[IntMatrix, int], c) -> tuple[int, ...] | None:
+    """Integer t with ``a @ t = den * c``, or None when ``a @ x = c`` has no rational solution.
+
+    ``inverse`` is ``leading_block_inverse(a) = (n, den)``. The leading block
+    fixes ``t = n @ c[:a.cols]``; only the rows below it are checked.
+    """
+    n, den = inverse
+    k = a.cols
+    t = n.mul_vector(c[:k])
+    for i in range(k, a.rows):
+        if sum(x * y for x, y in zip(a.row(i), t)) != den * c[i]:
+            return None
+    return t
+
+
 def solve_integer(a: IntMatrix, c) -> list[int] | None:
-    """Some integer solution of a @ x = c, or None when none exists."""
+    """Some integer solution of a @ x = c, or None when none exists.
+
+    When the leading ``a.cols x a.cols`` block is nonsingular the solution is
+    unique and comes from ``leading_block_inverse``; otherwise from the Smith
+    form of ``a``.
+    """
     if len(c) != a.rows:
         raise ValueError("right-hand side length disagrees with row count")
+    inverse = leading_block_inverse(a)
+    if inverse is not None:
+        t = block_solve(a, inverse, c)
+        den = inverse[1]
+        if t is None or any(x % den for x in t):
+            return None
+        return [x // den for x in t]
     snf = smith_normal_form(a)
     uc = snf.u.mul_vector(c)
     diag = snf.diagonal
@@ -501,6 +577,26 @@ def solve_integer(a: IntMatrix, c) -> list[int] | None:
     return list(snf.v.mul_vector(w))
 
 
+def solve_each_mod_subgroup(a: IntMatrix, b: IntMatrix, targets) -> list[list[int]] | None:
+    """Canonical x_i with a @ x_i - targets[i] in colspan(b) for every i, else None.
+
+    One lattice answers every target. With m targets, the Hermite basis of
+    {(z, x) : a @ x - sum_i z_i targets[i] in colspan(b)} starts with the rows
+    (e_i, x_i) exactly when each target is reachable; the rows after them
+    are the Hermite basis of ``preimage_lattice(a, b)``, and each x_i is
+    already reduced against them, so it is the canonical representative of
+    its solution coset. No Smith form is involved.
+    """
+    if a.rows != b.rows or any(len(c) != a.rows for c in targets):
+        raise ValueError("incompatible shapes")
+    m = len(targets)
+    negated = IntMatrix.from_columns([[-x for x in c] for c in targets], rows=a.rows)
+    basis = preimage_lattice(hstack(negated, a), b)
+    if len(basis) < m or any(basis[i][i] != 1 for i in range(m)):
+        return None
+    return [row[m:] for row in basis[:m]]
+
+
 def solve_mod_subgroup(a: IntMatrix, b: IntMatrix, c) -> list[int] | None:
     """Canonical x with a @ x - c in the integer column span of b, else None.
 
@@ -508,12 +604,8 @@ def solve_mod_subgroup(a: IntMatrix, b: IntMatrix, c) -> list[int] | None:
     representative returned is reduced against that Hermite basis, so equal
     inputs give identical output.
     """
-    if a.rows != b.rows or len(c) != a.rows:
-        raise ValueError("incompatible shapes")
-    full = solve_integer(hstack(a, b), c)
-    if full is None:
-        return None
-    return lattice_reduce(full[: a.cols], preimage_lattice(a, b))
+    solved = solve_each_mod_subgroup(a, b, [c])
+    return None if solved is None else solved[0]
 
 
 def determinant(a: IntMatrix) -> int:

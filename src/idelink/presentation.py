@@ -30,7 +30,7 @@ from .errors import (
     SelfLinking,
     UnknownKnot,
 )
-from .linalg import IntMatrix, determinant, hstack, solve_mod_subgroup, solve_rational
+from .linalg import IntMatrix, determinant, hstack, solve_each_mod_subgroup, solve_rational
 
 __all__ = [
     "SurgeryPresentation",
@@ -179,7 +179,8 @@ class Manifold:
 
     def knot_order(self, name: str) -> int:
         order = element_order(self.knot_class(name))
-        assert order is not None  # H1 of a rational homology sphere is finite
+        if order is None:
+            raise ArithmeticError(f"class of {name!r} has infinite order in a finite H1(M)")
         return order
 
     def linking_number(self, a: str, b: str) -> Fraction:
@@ -194,7 +195,8 @@ class Manifold:
         ell_a = self.presentation.lk_with_surgery.row(i)
         ell_b = self.presentation.lk_with_surgery.row(j)
         solved = solve_rational(self.surgery_matrix, ell_b)
-        assert solved is not None  # surgery matrix is nonsingular
+        if solved is None:
+            raise ArithmeticError("no rational solution against a nonsingular surgery matrix")
         return mutual - sum((Fraction(x) * y for x, y in zip(ell_a, solved)), Fraction(0))
 
     def is_admissible(self) -> AdmissibilityCertificate:
@@ -226,17 +228,19 @@ class Manifold:
         targets = [i for i, d in enumerate(diag) if d != 1]
         expressions = []
         if targets:
-            gen_matrix = IntMatrix.from_columns(class_vectors, rows=s)
             u = self.h1.smith_form.u
+            gens = []
             for i in targets:
                 unit = [1 if t == i else 0 for t in range(s)]
                 gen = solve_rational(u, unit)
-                assert gen is not None
-                gen_int = [int(x) for x in gen]
-                assert all(x == y for x, y in zip(gen, gen_int))  # u is unimodular
-                coeffs = solve_mod_subgroup(gen_matrix, self.h1.relations, gen_int)
-                assert coeffs is not None  # quotient is trivial, so solvable
-                expressions.append({k: c for k, c in zip(link, coeffs) if c})
+                if gen is None or any(x.denominator != 1 for x in gen):
+                    raise ArithmeticError("Smith transform U is not unimodular")
+                gens.append([int(x) for x in gen])
+            gen_matrix = IntMatrix.from_columns(class_vectors, rows=s)
+            solved = solve_each_mod_subgroup(gen_matrix, self.h1.relations, gens)
+            if solved is None:
+                raise ArithmeticError("knot classes generate H1(M) yet miss an invariant-factor generator")
+            expressions = [{k: c for k, c in zip(link, coeffs) if c} for coeffs in solved]
         return AdmissibilityCertificate(
             admissible=True, expressions=tuple(expressions), subgroup_factors=None
         )

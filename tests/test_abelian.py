@@ -1,8 +1,11 @@
+import math
+import random
+
 import pytest
 
 from idelink.abelian import FgAbelianGroup, element_order, subgroup_invariant_factors
 from idelink.errors import BadDimensions
-from idelink.linalg import IntMatrix
+from idelink.linalg import IntMatrix, determinant, smith_normal_form
 
 
 def group(gens, relation_columns):
@@ -52,6 +55,68 @@ def test_element_order():
     mixed = group(2, [[4, 0]])  # Z/4 + Z
     assert element_order(mixed.element([2, 0])) == 2
     assert element_order(mixed.element([1, 1])) is None
+
+
+def test_element_order_frozen_examples_with_nonsingular_leading_block():
+    # Z^2 / <(2, 1), (1, 3)> is Z/5, generated by e1 with e2 = -2 e1 = 3 e1
+    z5 = group(2, [[2, 1], [1, 3]])
+    assert z5.block_inverse == (IntMatrix.from_rows([[3, -1], [-1, 2]]), 5)
+    assert element_order(z5.element([1, 0])) == 5
+    assert element_order(z5.element([2, 1])) == 1
+    assert z5.element([0, 1]) == z5.element([3, 0])
+    # Z^3 / <(2, 0, 4), (0, 3, 3)>: a tall presentation of Z/6 + Z
+    tall = group(3, [[2, 0, 4], [0, 3, 3]])
+    assert tall.block_inverse == (IntMatrix.from_rows([[3, 0], [0, 2]]), 6)
+    assert element_order(tall.element([1, 0, 2])) == 2
+    assert element_order(tall.element([1, 1, 3])) == 6
+    assert element_order(tall.element([1, 0, 0])) is None
+    assert element_order(tall.element([2, 3, 7])) == 1
+    # a singular leading block leaves the Smith route: Z^2 / <(2, 0), (0, 0)>
+    assert group(2, [[2, 0], [0, 0]]).block_inverse is None
+    assert element_order(group(2, [[2, 0], [0, 0]]).element([1, 0])) == 2
+
+
+def order_via_smith(g: FgAbelianGroup, coords) -> int | None:
+    """Oracle: walk U @ x against the Smith diagonal of the relations."""
+    snf = smith_normal_form(g.relations)
+    diag = snf.diagonal
+    n = 1
+    for i, x in enumerate(snf.u.mul_vector(coords)):
+        d = diag[i] if i < len(diag) else 0
+        if d:
+            n = math.lcm(n, d // math.gcd(d, x))
+        elif x:
+            return None
+    return n
+
+
+def test_element_order_matches_smith_route_on_nonsingular_leading_blocks():
+    rng = random.Random(4404)
+    seen = {"zero": 0, "finite": 0, "infinite": 0}
+    for t in range(1500):
+        cols = rng.randint(1, 5)
+        rows = cols if t % 2 else rng.randint(cols + 1, 7)  # square, then tall
+        bound = rng.choice((1, 3, 50))
+        while True:
+            m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+            if determinant(IntMatrix.from_rows(m[:cols])):
+                break
+        g = FgAbelianGroup(rows, IntMatrix.from_rows(m))
+        assert g.block_inverse is not None
+        kind = t % 3
+        if kind == 0:  # a random vector: finite order when square, else mostly infinite
+            x = [rng.randint(-bound, bound) for _ in range(rows)]
+        else:  # a relation combination divided by part of its content: finite order
+            y = [rng.randint(-4, 4) for _ in range(cols)]
+            x = list(g.relations.mul_vector(y))
+            content = math.gcd(*x)
+            if kind == 2 and content:
+                d = rng.choice([k for k in range(1, content + 1) if content % k == 0])
+                x = [v // d for v in x]
+        got = element_order(g.element(x))
+        assert got == order_via_smith(g, x), (m, x)
+        seen["infinite" if got is None else "zero" if got == 1 else "finite"] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_subgroup_invariant_factors():

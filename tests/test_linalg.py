@@ -3,8 +3,9 @@
 The Smith form is cross-checked against the determinantal-divisor oracle
 (gcd of all k x k minors), the Bareiss determinant against cofactor
 expansion, solve_mod_subgroup against exhaustive search, the integer
-kernel against the Smith-transform route it replaced, and preimage_lattice
-against a second Hermite pass over its sliced kernel.
+kernel against the Smith-transform route it replaced, preimage_lattice
+against a second Hermite pass over its sliced kernel, and the solves that
+run on leading_block_inverse against the Smith-form solves they replaced.
 """
 
 import itertools
@@ -17,8 +18,16 @@ from hypothesis import strategies as st
 
 from conftest import manifold
 
-from idelink import Divisor, complement_homology, kummer_cover, principal_lattice_basis
-from idelink import abelian
+from idelink import (
+    Divisor,
+    Idele,
+    complement_homology,
+    delta_from_divisor,
+    is_principal,
+    kummer_cover,
+    principal_lattice_basis,
+)
+from idelink import abelian, linalg
 from idelink.linalg import (
     IntMatrix,
     _hermite_basis_mod,
@@ -27,8 +36,10 @@ from idelink.linalg import (
     hstack,
     integer_kernel,
     lattice_reduce,
+    leading_block_inverse,
     preimage_lattice,
     smith_normal_form,
+    solve_each_mod_subgroup,
     solve_integer,
     solve_mod_subgroup,
     solve_rational,
@@ -317,6 +328,94 @@ def test_solve_integer_and_rational_agree():
                 ) != tuple(target)
 
 
+def random_nonsingular_block(rng: random.Random, t: int) -> IntMatrix:
+    """Square or tall, entries up to 50, with a nonsingular leading square block."""
+    cols = rng.randint(0 if t % 7 == 0 else 1, 5)
+    rows = cols if t % 2 else rng.randint(cols + 1, 7)
+    bound = rng.choice((1, 3, 50))
+    while True:
+        m = IntMatrix(rows, cols, tuple(rng.randint(-bound, bound) for _ in range(rows * cols)))
+        if determinant(IntMatrix(cols, cols, m.entries[: cols * cols])):
+            return m
+
+
+def test_leading_block_inverse_frozen_examples():
+    assert leading_block_inverse(IntMatrix.from_rows([[2, 1], [1, 3]])) == (
+        IntMatrix.from_rows([[3, -1], [-1, 2]]),
+        5,
+    )
+    # den is |det| even when the determinant is negative; rows below the block are ignored
+    assert leading_block_inverse(IntMatrix.from_rows([[-1, 0], [0, 2], [7, 7]])) == (
+        IntMatrix.from_rows([[-2, 0], [0, 1]]),
+        2,
+    )
+    # a zero leading entry takes a row swap
+    assert leading_block_inverse(IntMatrix.from_rows([[0, 1], [1, 0]])) == (
+        IntMatrix.from_rows([[0, 1], [1, 0]]),
+        1,
+    )
+    assert leading_block_inverse(IntMatrix(0, 0, ())) == (IntMatrix(0, 0, ()), 1)
+    assert leading_block_inverse(IntMatrix(3, 0, ())) == (IntMatrix(0, 0, ()), 1)
+    assert leading_block_inverse(IntMatrix.from_rows([[1, 2], [2, 4], [0, 1]])) is None
+    assert leading_block_inverse(IntMatrix.from_rows([[1, 2]])) is None
+
+
+def test_leading_block_inverse_is_the_scaled_inverse():
+    rng = random.Random(5505)
+    for t in range(800):
+        a = random_nonsingular_block(rng, t)
+        k = a.cols
+        top = IntMatrix(k, k, a.entries[: k * k])
+        n, den = leading_block_inverse(a)
+        assert den == abs(determinant(top))
+        assert top @ n == IntMatrix(k, k, tuple(den * x for x in IntMatrix.identity(k).entries))
+
+
+def solve_via_smith(a: IntMatrix, c) -> list[int] | None:
+    """Oracle: the Smith-form solve that solve_integer runs on singular leading blocks."""
+    snf = smith_normal_form(a)
+    uc = snf.u.mul_vector(c)
+    diag = snf.diagonal
+    w = [0] * a.cols
+    for i, x in enumerate(uc):
+        d = diag[i] if i < len(diag) else 0
+        if d:
+            if x % d:
+                return None
+            w[i] = x // d
+        elif x:
+            return None
+    return list(snf.v.mul_vector(w))
+
+
+def test_solve_integer_matches_smith_route_on_nonsingular_leading_blocks():
+    rng = random.Random(6606)
+    outcomes = {"solved": 0, "rational only": 0, "inconsistent": 0}
+    for t in range(1500):
+        a = random_nonsingular_block(rng, t)
+        y = [rng.randint(-6, 6) for _ in range(a.cols)]
+        kind = t % 3
+        if kind == 0:
+            c = list(a.mul_vector(y))
+        elif kind == 1:  # a @ (y / d): in the rational span, often not in the integer one
+            c = list(a.mul_vector(y))
+            content = math.gcd(*c)
+            if content:
+                d = rng.choice([k for k in range(1, content + 1) if content % k == 0])
+                c = [x // d for x in c]
+        else:
+            c = [rng.randint(-60, 60) for _ in range(a.rows)]
+        got = solve_integer(a, c)
+        assert got == solve_via_smith(a, c), (str(a), c)
+        if got is not None:
+            outcomes["solved"] += 1
+        elif solve_rational(a, c) is not None:
+            outcomes["rational only"] += 1
+        else:
+            outcomes["inconsistent"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
 def test_solve_mod_subgroup_frozen_examples():
     assert solve_mod_subgroup(
         IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[5]]), [3]
@@ -328,6 +427,49 @@ def test_solve_mod_subgroup_frozen_examples():
         solve_mod_subgroup(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[4]]), [1])
         is None
     )
+
+
+def test_solve_each_mod_subgroup_matches_smith_solve_reduced_against_the_lattice():
+    rng = random.Random(7707)
+    for t in range(1200):
+        a, b = random_preimage_input(rng, t % 5)
+        targets = []
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:  # reachable by construction
+                x = [rng.randint(-5, 5) for _ in range(a.cols)]
+                z = [rng.randint(-5, 5) for _ in range(b.cols)]
+                targets.append([p + q for p, q in zip(a.mul_vector(x), b.mul_vector(z))])
+            else:
+                targets.append([rng.randint(-20, 20) for _ in range(a.rows)])
+        expected = []
+        lattice = preimage_lattice(a, b)
+        for c in targets:
+            full = solve_via_smith(hstack(a, b), c)
+            expected.append(None if full is None else lattice_reduce(full[: a.cols], lattice))
+        got = solve_each_mod_subgroup(a, b, targets)
+        assert got == (None if None in expected else expected), (str(a), str(b), targets)
+        for c, e in zip(targets, expected):
+            assert solve_mod_subgroup(a, b, c) == e
+
+
+def test_element_queries_take_no_smith_form(monkeypatch):
+    inputs = []
+    real = linalg.smith_normal_form
+
+    def counting(a):
+        inputs.append(a)
+        return real(a)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", counting)
+    monkeypatch.setattr(linalg, "smith_normal_form", counting)
+    man = manifold(TWO_KNOTS)
+    assert [man.knot_order(k) for k in man.knot_names] == [5, 5]
+    comp = complement_homology(man, ["K1"])
+    assert is_principal(comp, Idele.of({"K1": (0, 5)})) is False
+    # Lambda t = (5, 0) gives t = (3, -1), so the meridian correction is lk(K1, L) . t = 3
+    assert delta_from_divisor(comp, Divisor.of({"K1": 5})) == Idele.of({"K1": (3, 5)})
+    assert is_principal(comp, Idele.of({"K1": (3, 5)})) is True
+    assert inputs == []
 
 
 def test_solve_mod_subgroup_vs_exhaustive():

@@ -17,6 +17,7 @@ from idelink.errors import (
     SelfLinking,
     UnknownKnot,
 )
+from idelink import linalg
 from idelink.presentation import presentation_from_dict, presentation_to_dict
 
 from conftest import HOPF, LENS5, manifold
@@ -197,6 +198,32 @@ def test_non_admissible_certificate():
     assert cert.expressions is None
     assert cert.subgroup_factors == ()
     assert not man.generates_h1(("K",))
+
+
+def test_certificate_takes_one_lattice_for_all_invariant_factors(monkeypatch):
+    # H1 = Z/2 e1 + Z/2 e2 + Z/4 e3 with classes e1 + e2, e2 + e3 and 3 e3
+    man = manifold(
+        {
+            "surgery": {"components": ["L1", "L2", "L3"], "matrix": [[2, 0, 0], [0, 2, 0], [0, 0, 4]]},
+            "link": {
+                "components": ["K1", "K2", "K3"],
+                "lk_with_surgery": [[1, 1, 0], [0, 1, 1], [0, 0, 3]],
+                "lk_mutual": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            },
+        }
+    )
+    lattices = []
+    real = linalg.preimage_lattice
+
+    def counting(a, b):
+        lattices.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(linalg, "preimage_lattice", counting)
+    cert = man.is_admissible()
+    # e1 = K1 + K2 + K3, e2 = K2 + K3 and e3 = 3 K3, since 2 e2 = 4 e3 = 0
+    assert cert.expressions == ({"K1": 1, "K2": 1, "K3": 1}, {"K2": 1, "K3": 1}, {"K3": 3})
+    assert len(lattices) == 1
 
 
 def test_generates_h1_matches_certificate():
