@@ -9,7 +9,6 @@ and the whole dictionary can be watched in the smallest possible example.
 
 from idelink import (
     Divisor,
-    FiniteAbelianGroup,
     complement_homology,
     decomposition_data,
     delta_from_divisor,
@@ -67,7 +66,7 @@ print("idele class group invariants:", idele_class_group(comp).class_invariants)
 
 # A double cover rotating the meridian of K1: K1 is ramified (e = 2),
 # K2 is inert (f = 2). e * f * g is the covering degree at every prime.
-cover = make_cover(comp, FiniteAbelianGroup((2,)), [[1], [0]])
+cover = make_cover(comp, (2,), [[1], [0]])
 for k in ("K1", "K2"):
     dd = decomposition_data(cover, k)
     print(

@@ -23,7 +23,6 @@ from .abelian import FgAbelianGroup, GroupElement, element_order, subgroup_invar
 from .covers import (
     CoverSpec,
     DecompositionData,
-    FiniteAbelianGroup,
     KummerCover,
     decomposition_data,
     global_symbol,
@@ -112,7 +111,6 @@ __all__ = [
     "DivisorNotPrincipal",
     "DuplicateName",
     "FgAbelianGroup",
-    "FiniteAbelianGroup",
     "FuzzConfig",
     "GroupElement",
     "Idele",

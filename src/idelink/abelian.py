@@ -1,11 +1,17 @@
 """Finitely generated abelian groups presented by integer relation matrices.
 
 A group is Z^g modulo the column span of a relation matrix. Elements are
-coordinate vectors. When the leading square block of the relations is
-nonsingular (H1 of a rational homology sphere, and every link complement,
-whose leading block is the surgery matrix), element orders and equality
+coordinate vectors. One type serves H1 of a manifold or of a link
+complement and a cover's target, diag(n_1, ..., n_t); ``quotient``
+appends generators to the relations, so index and surjectivity questions
+become the order and triviality of a quotient.
+
+When the leading square block of the relations is nonsingular (H1 of a
+rational homology sphere, every link complement, whose leading block is
+the surgery matrix, and every cover target), element orders and equality
 come from a fraction-free inverse of that block: the order of x is the
-least common denominator of the rational solution of relations @ t = x.
+least common denominator of the rational solution of relations @ t = x,
+and a square presentation has order |det|, the inverse's denominator.
 Invariant factors, and element tests in any other group, come from the
 Smith form of the relations. Both are computed on first use and then
 cached, so a group built only to carry its relations (as most complements
@@ -23,6 +29,7 @@ from .linalg import (
     IntMatrix,
     SmithForm,
     block_solve,
+    hstack,
     leading_block_inverse,
     preimage_lattice,
     smith_normal_form,
@@ -73,6 +80,8 @@ class FgAbelianGroup:
 
     def order(self) -> int | None:
         """Group order, or None when the group is infinite."""
+        if self.relations.cols == self.generator_count and self.block_inverse is not None:
+            return self.block_inverse[1]  # |det| of a square nonsingular presentation
         n = 1
         for d in self.invariant_factors:
             if d == 0:
@@ -94,6 +103,12 @@ class FgAbelianGroup:
 
     def zero(self) -> "GroupElement":
         return self.element((0,) * self.generator_count)
+
+    def quotient(self, generators) -> "FgAbelianGroup":
+        """This group modulo the subgroup generated by the given coordinate vectors."""
+        columns = [self.element(v).coords for v in generators]
+        gens = IntMatrix.from_columns(columns, rows=self.generator_count)
+        return FgAbelianGroup(self.generator_count, hstack(self.relations, gens))
 
     def is_zero_vector(self, coords) -> bool:
         """Whether the coordinate vector lies in the column span of the relations."""

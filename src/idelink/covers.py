@@ -3,11 +3,14 @@
 A cover is a homomorphism from H1(M - L) to a finite abelian group given by
 its values on the generators (surgery meridians, then link meridians); it is
 well defined exactly when every presentation relation maps to zero. The
-global symbol of an idele is the image of its reassembled class; the local
-symbol at a knot is the image of a single peripheral class. Decomposition
-data at a knot mirrors ramification theory: e is the order of the meridian
-image, e*f the order of the image of the whole boundary torus, g the index
-of that image in the target.
+target is given by its cyclic orders (n_1, ..., n_t): the cover keeps them
+and reduces values to residues mod n_i, and every group question goes to
+``target``, the FgAbelianGroup Z^t / diag(n_1, ..., n_t). The global
+symbol of an idele is the image of its reassembled class; the local symbol
+at a knot is the image of a single peripheral class. Decomposition data at
+a knot mirrors ramification theory: e is the order of the meridian image,
+e*f the order of the image of the whole boundary torus, g the index of that
+image in the target.
 
 A Kummer cover of modulus n attached to a principal divisor is the unique
 (at admissible stages) homomorphism to Z/n whose symbol computes the global
@@ -17,9 +20,8 @@ pairing against the divisor's principal idele.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
-from .abelian import FgAbelianGroup
+from .abelian import FgAbelianGroup, element_order
 from .errors import (
     BadDimensions,
     BadInput,
@@ -27,13 +29,13 @@ from .errors import (
     CoverIllDefined,
     KnotOutsideLink,
     NotAdmissible,
+    json_int,
 )
-from .linalg import IntMatrix, hstack
+from .linalg import IntMatrix
 from .local import ComplementHomology, PeripheralClass, complement_homology, local_intersection
 from .ideles import Divisor, Idele, delta_solution, idele_coords
 
 __all__ = [
-    "FiniteAbelianGroup",
     "CoverSpec",
     "DecompositionData",
     "KummerCover",
@@ -46,73 +48,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
-    """Product of cyclic groups Z/n_i with n_i >= 1; elements are residue tuples."""
-
-    orders: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(n < 1 for n in self.orders):
-            raise BadInput("cyclic orders must be positive")
-
-    def order(self) -> int:
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
-
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * len(self.orders)
-
-    def reduce(self, vec) -> tuple[int, ...]:
-        if len(vec) != len(self.orders):
-            raise BadDimensions("element length disagrees with the number of cyclic factors")
-        return tuple(int(v) % n for v, n in zip(vec, self.orders))
-
-    def add(self, a, b) -> tuple[int, ...]:
-        return self.reduce(tuple(x + y for x, y in zip(a, b)))
-
-    def element_order(self, a) -> int:
-        a = self.reduce(a)
-        n = 1
-        for x, d in zip(a, self.orders):
-            step = d // gcd(d, x)
-            n = n * step // gcd(n, step)
-        return n
-
-    def subgroup_order(self, generators) -> int:
-        """Order of the subgroup generated by the given elements."""
-        gens = [list(self.reduce(g)) for g in generators]
-        t = len(self.orders)
-        diag = IntMatrix.from_rows(
-            [[self.orders[i] if i == j else 0 for j in range(t)] for i in range(t)]
-        ) if t else IntMatrix(0, 0, ())
-        if gens:
-            rel = hstack(diag, IntMatrix.from_columns(gens, rows=t))
-        else:
-            rel = diag
-        quotient = FgAbelianGroup(t, rel).order()
-        if quotient is None:
-            raise ArithmeticError("a quotient of a finite group came out infinite")
-        return self.order() // quotient
-
-    def is_surjective(self, generators) -> bool:
-        return self.subgroup_order(generators) == self.order()
-
-
 class CoverSpec:
     """A finite abelian cover of the complement of a sublink.
 
-    ``values[j]`` is the image of the j-th generator of H1(M - L) in the
-    target group; generator order is surgery components first, then the
-    sublink's knots, both in declared order.
+    The target is the product of the cyclic groups Z/n for n in ``orders``
+    (each n >= 1). ``values[j]`` is the image of the j-th generator of
+    H1(M - L) as residues, one per cyclic factor; generator order is
+    surgery components first, then the sublink's knots, both in declared
+    order.
     """
 
-    def __init__(self, complement: ComplementHomology, target: FiniteAbelianGroup, values):
+    def __init__(self, complement: ComplementHomology, orders, values):
+        self.orders = tuple(orders)
+        if any(n < 1 for n in self.orders):
+            raise BadInput("cyclic orders must be positive")
+        t = len(self.orders)
+        diagonal = [[n if i == j else 0 for j in range(t)] for i, n in enumerate(self.orders)]
+        self.target = FgAbelianGroup(t, IntMatrix.from_rows(diagonal))
         self.complement = complement
-        self.target = target
-        self.values = tuple(target.reduce(v) for v in values)
+        self.values = tuple(self.reduce(v) for v in values)
         if len(self.values) != complement.group.generator_count:
             raise BadDimensions(
                 f"{complement.group.generator_count} generator values required, "
@@ -127,14 +81,20 @@ class CoverSpec:
     def manifold(self):
         return self.complement.manifold
 
+    def reduce(self, vec) -> tuple[int, ...]:
+        """Residues of a target coordinate vector, one per cyclic factor."""
+        if len(vec) != len(self.orders):
+            raise BadDimensions("element length disagrees with the number of cyclic factors")
+        return tuple(int(v) % n for v, n in zip(vec, self.orders))
+
     def apply(self, coords) -> tuple[int, ...]:
         """Image of a coordinate vector; constant on relation cosets by validation."""
-        out = [0] * len(self.target.orders)
+        out = [0] * len(self.orders)
         for c, val in zip(coords, self.values):
             if c:
                 for i, v in enumerate(val):
                     out[i] += c * v
-        return self.target.reduce(out)
+        return self.reduce(out)
 
     def meridian_image(self, knot: str) -> tuple[int, ...]:
         return self.apply(self.complement.meridian_coords(knot))
@@ -143,12 +103,12 @@ class CoverSpec:
         return self.apply(self.complement.longitude_coords(knot))
 
     def is_surjective(self) -> bool:
-        return self.target.is_surjective(list(self.values))
+        return self.target.quotient(self.values).is_trivial()
 
     def to_dict(self) -> dict:
         return {
             "branch_link": list(self.link),
-            "target": list(self.target.orders),
+            "target": list(self.orders),
             "phi": [list(v) for v in self.values],
         }
 
@@ -158,24 +118,24 @@ class CoverSpec:
             raise BadInput("cover must be a JSON object")
         try:
             link = [str(k) for k in data["branch_link"]]
-            orders = [int(n) for n in data["target"]]
-            values = [[int(x) for x in row] for row in data["phi"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            orders = [json_int(n, "cyclic order") for n in data["target"]]
+            values = [[json_int(x, "cover value") for x in row] for row in data["phi"]]
+        except (KeyError, TypeError) as exc:
             raise BadInput(f"malformed cover: {exc}") from exc
         comp = complement_homology(manifold, link)
-        return make_cover(comp, FiniteAbelianGroup(tuple(orders)), values)
+        return make_cover(comp, orders, values)
 
 
-def make_cover(comp: ComplementHomology, target: FiniteAbelianGroup, values) -> CoverSpec:
-    """Validate generator values into a well-defined cover.
+def make_cover(comp: ComplementHomology, orders, values) -> CoverSpec:
+    """Validate generator values into a well-defined cover of the given cyclic orders.
 
     Raises CoverIllDefined when some presentation relation has nonzero image.
     """
-    cover = CoverSpec(comp, target, values)
+    cover = CoverSpec(comp, orders, values)
     rel = comp.relations
     for j in range(rel.cols):
         image = cover.apply(rel.column(j))
-        if image != target.identity():
+        if any(image):
             raise CoverIllDefined(
                 f"relation {j} maps to {list(image)}, not zero, in the target"
             )
@@ -215,12 +175,13 @@ def decomposition_data(cover: CoverSpec, knot: str) -> DecompositionData:
         raise KnotOutsideLink(f"knot {knot!r} is outside the cover's sublink")
     mu = cover.meridian_image(knot)
     l0 = cover.longitude_image(knot)
-    e = cover.target.element_order(mu)
-    boundary_image = cover.target.subgroup_order([mu, l0])
+    target = cover.target
+    e = element_order(target.element(mu))
+    g = target.quotient([mu, l0]).order()
     return DecompositionData(
         ramification_index=e,
-        residue_degree=boundary_image // e,
-        component_count=cover.target.order() // boundary_image,
+        residue_degree=target.order() // g // e,
+        component_count=g,
     )
 
 
@@ -250,10 +211,9 @@ def kummer_cover(comp: ComplementHomology, divisor: Divisor, modulus: int) -> Ku
             "the pairing does not factor through a cover of this stage"
         )
     t, boundary = delta_solution(comp, divisor)
-    target = FiniteAbelianGroup((modulus,))
     values = [(-tj % modulus,) for tj in t]
     values += [(divisor.coefficient(k) % modulus,) for k in comp.link]
-    cover = make_cover(comp, target, values)
+    cover = make_cover(comp, (modulus,), values)
     branch = tuple(k for k in comp.link if divisor.coefficient(k) % modulus != 0)
     return KummerCover(cover=cover, branch_locus=branch, boundary_idele=boundary)
 

@@ -2,7 +2,8 @@
 
 Every error the library can raise on user input carries a distinct ``code``
 string; the command line interface emits it as ``{"error": code, ...}`` and
-exits with status 2.
+exits with status 2. ``json_int`` is the one integer check at the JSON input
+boundary, so a float, a bool or a numeric string is refused, never truncated.
 """
 
 
@@ -94,3 +95,10 @@ class BadInput(IdelinkError):
     """Malformed JSON or schema violation at the input boundary."""
 
     code = "bad_input"
+
+
+def json_int(value, what: str) -> int:
+    """``value`` itself when it is an integer (a bool is not), else BadInput."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise BadInput(f"{what} must be an integer, got {value!r}")

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import FgAbelianGroup, GroupElement
-from .errors import BadInput, DivisorNotPrincipal, SupportOutsideLink
-from .linalg import IntMatrix, hstack, preimage_lattice, solve_integer
+from .errors import BadInput, DivisorNotPrincipal, SupportOutsideLink, json_int
+from .linalg import IntMatrix, preimage_lattice, solve_integer
 from .local import ComplementHomology, PeripheralClass, local_intersection
 
 __all__ = [
@@ -104,10 +104,8 @@ class Idele:
         for k, v in data.items():
             if not isinstance(v, (list, tuple)) or len(v) != 2:
                 raise BadInput(f"idele component at {k!r} must be a pair [meridian, longitude]")
-            try:
-                out[str(k)] = (int(v[0]), int(v[1]))
-            except (TypeError, ValueError) as exc:
-                raise BadInput(f"idele component at {k!r} must hold integers") from exc
+            what = f"idele component at {k!r}"
+            out[str(k)] = (json_int(v[0], what), json_int(v[1], what))
         return Idele.of(out)
 
 
@@ -147,10 +145,7 @@ class Divisor:
     def from_dict(data) -> "Divisor":
         if not isinstance(data, dict):
             raise BadInput("divisor must be a JSON object mapping knots to integers")
-        try:
-            return Divisor.of({str(k): int(v) for k, v in data.items()})
-        except (TypeError, ValueError) as exc:
-            raise BadInput("divisor coefficients must be integers") from exc
+        return Divisor.of({str(k): json_int(v, f"divisor coefficient at {k!r}") for k, v in data.items()})
 
 
 @dataclass(frozen=True)
@@ -244,12 +239,11 @@ def idele_class_group(comp: ComplementHomology) -> ClassGroupData:
     peripheral = comp.peripheral_matrix()
     basis = preimage_lattice(peripheral, comp.relations)
     class_invariants = FgAbelianGroup(width, IntMatrix.from_columns(basis, rows=width)).invariant_factors
-    coker_rel = hstack(comp.relations, peripheral)
-    coker_invariants = FgAbelianGroup(comp.group.generator_count, coker_rel).invariant_factors
+    coker = comp.group.quotient(peripheral.column(j) for j in range(width))
     return ClassGroupData(
         link=comp.link,
         class_invariants=class_invariants,
-        coker_invariants=coker_invariants,
+        coker_invariants=coker.invariant_factors,
     )
 
 

@@ -29,8 +29,9 @@ from .errors import (
     NotQHS3,
     SelfLinking,
     UnknownKnot,
+    json_int,
 )
-from .linalg import IntMatrix, determinant, hstack, solve_each_mod_subgroup, solve_rational
+from .linalg import IntMatrix, determinant, solve_each_mod_subgroup, solve_rational
 
 __all__ = [
     "SurgeryPresentation",
@@ -87,11 +88,11 @@ def presentation_from_dict(data) -> SurgeryPresentation:
         surgery = data["surgery"]
         link = data["link"]
         names = [str(x) for x in surgery["components"]]
-        rows = [[int(v) for v in row] for row in surgery["matrix"]]
+        rows = [[json_int(v, "surgery matrix entry") for v in row] for row in surgery["matrix"]]
         knots = [str(x) for x in link["components"]]
-        lk_ws = [[int(v) for v in row] for row in link["lk_with_surgery"]]
-        lk_mut = [[int(v) for v in row] for row in link["lk_mutual"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        lk_ws = [[json_int(v, "lk_with_surgery entry") for v in row] for row in link["lk_with_surgery"]]
+        lk_mut = [[json_int(v, "lk_mutual entry") for v in row] for row in link["lk_mutual"]]
+    except (KeyError, TypeError) as exc:
         raise BadInput(f"malformed presentation: {exc}") from exc
     try:
         return SurgeryPresentation.build(names, rows, knots, lk_ws, lk_mut)
@@ -205,13 +206,8 @@ class Manifold:
 
     def generates_h1(self, link) -> bool:
         """Certificate-free version of admissibility for a sublink's classes."""
-        link = self.sublink(link)
-        s = len(self.surgery_names)
-        vs = [list(self.presentation.lk_with_surgery.row(self.knot_index(k))) for k in link]
-        if not vs:
-            return self.h1.is_trivial()
-        quotient = FgAbelianGroup(s, hstack(self.h1.relations, IntMatrix.from_columns(vs, rows=s)))
-        return quotient.is_trivial()
+        classes = [self.knot_class(k).coords for k in self.sublink(link)]
+        return self.h1.quotient(classes).is_trivial()
 
     def admissibility_of(self, link) -> AdmissibilityCertificate:
         """Certificate for the subgroup of H1(M) generated by a sublink's classes."""

@@ -38,6 +38,42 @@ def test_element_equality_modulo_relations():
     assert g.element([1]) != g.element([2])
 
 
+def test_quotient_appends_generators_to_relations():
+    g = group(2, [[4, 0], [0, 6]])
+    assert g.quotient([]) == g
+    assert g.quotient([(2, 0), (0, 3)]) == group(2, [[4, 0], [0, 6], [2, 0], [0, 3]])
+    assert g.quotient([(2, 0), (0, 3)]).invariant_factors == (6,)
+    assert g.quotient([(2, 0)]).invariant_factors == (2, 6)
+    assert g.quotient([(1, 0), (0, 1)]).is_trivial()
+    assert not g.quotient([(2, 0), (0, 1)]).is_trivial()
+    assert group(2, []).quotient([(1, 2)]).invariant_factors == (0,)
+    assert group(0, []).quotient([()]).is_trivial()
+    with pytest.raises(BadDimensions):
+        g.quotient([(1,)])
+
+
+def test_order_matches_invariant_factors():
+    # square nonsingular presentations read |det| off the block inverse
+    rng = random.Random(5505)
+    seen = {"square nonsingular": 0, "square singular": 0, "not square": 0}
+    for t in range(900):
+        gens = rng.randint(0, 4)
+        cols = rng.randint(0, 6) if t % 3 == 0 else gens
+        bound = rng.choice((1, 3, 20))
+        m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(gens)]
+        if t % 3 == 1 and gens >= 2:
+            m[-1] = m[0][:]
+        g = FgAbelianGroup(gens, IntMatrix.from_rows(m) if gens else IntMatrix(0, cols, ()))
+        order = g.order()
+        factors = g.invariant_factors
+        assert order == (None if 0 in factors else math.prod(factors))
+        if cols != gens:
+            seen["not square"] += 1
+        else:
+            seen["square nonsingular" if g.block_inverse else "square singular"] += 1
+    assert min(seen.values()) > 100, seen
+
+
 def test_element_order():
     z5 = group(1, [[5]])
     assert element_order(z5.element([1])) == 5

@@ -4,7 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from idelink.cli import run_command
+
+from conftest import HOPF, LENS5
 
 
 def run(capsys, *argv):
@@ -164,6 +168,58 @@ def test_error_paths(capsys, hopf_path, lens5_path):
 
     code, out = run(capsys, "lk", hopf_path, "K1")
     assert (code, out["error"]) == (2, "bad_input")
+
+
+def presentation(matrix=((5,),), lk_with_surgery=((1,),), lk_mutual=((0,),), surgery=("L1",), knots=("K",)):
+    """A lens space L(5, 1) presentation with the given fields replaced."""
+    return {
+        "surgery": {"components": surgery, "matrix": matrix},
+        "link": {"components": knots, "lk_with_surgery": lk_with_surgery, "lk_mutual": lk_mutual},
+    }
+
+
+def phi(branch_link, target, values):
+    return json.dumps({"branch_link": branch_link, "target": target, "phi": values})
+
+
+# (expected error code, presentation file, subcommand, arguments after the file)
+ERROR_CASES = {
+    "cover-ill-defined": ("cover_ill_defined", LENS5, "cover", ["--phi", phi(["K"], [5], [[0], [1]])]),
+    "decomp-outside-branch-link": (
+        "knot_outside_link", HOPF, "decomp", ["K2", "--phi", phi(["K1"], [2], [[1]])],
+    ),
+    "kummer-non-admissible-sublink": (
+        "not_admissible",
+        presentation(lk_with_surgery=((1,), (0,)), lk_mutual=((0, 0), (0, 0)), knots=("J", "K")),
+        "kummer",
+        ["--link", "K", "--divisor", "K=5", "--n", "2"],
+    ),
+    "cover-target-zero": ("bad_input", HOPF, "cover", ["--phi", phi(["K1", "K2"], [0], [[0], [0]])]),
+    "cover-target-float": ("bad_input", HOPF, "cover", ["--phi", phi(["K1", "K2"], [2.7], [[1], [0]])]),
+    "matrix-float": ("bad_input", presentation(matrix=((5.9,),)), "info", []),
+    "matrix-bool": ("bad_input", presentation(lk_with_surgery=((True,),)), "info", []),
+    "idele-float": ("bad_input", LENS5, "is-principal", ["--a", '{"K":[0.5,1]}']),
+    "asymmetric-matrix": (
+        "asymmetric_matrix",
+        presentation(matrix=((1, 2), (3, 1)), lk_with_surgery=((0, 0),), surgery=("L1", "L2")),
+        "info",
+        [],
+    ),
+    "singular-matrix": ("not_qhs3", presentation(matrix=((0,),)), "info", []),
+    "bad-dimensions": ("bad_dimensions", presentation(lk_with_surgery=((1, 2),)), "info", []),
+    "duplicate-name": ("duplicate_name", presentation(knots=("L1",)), "info", []),
+    "unknown-knot": ("unknown_knot", HOPF, "lk", ["K1", "K9"]),
+    "self-linking": ("self_linking", HOPF, "lk", ["K1", "K1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_error_codes(capsys, tmp_path, case):
+    expected, data, command, rest = ERROR_CASES[case]
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, command, str(path), *rest)
+    assert (code, out["error"]) == (2, expected)
 
 
 def test_fuzz_exit_codes(capsys):

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from idelink.abelian import element_order
 from idelink.covers import (
     CoverSpec,
-    FiniteAbelianGroup,
     decomposition_data,
     global_symbol,
     hilbert_symbol,
@@ -28,37 +28,97 @@ from idelink.local import PeripheralClass, complement_homology
 from conftest import manifold
 
 
-def test_finite_abelian_group_basics():
-    g = FiniteAbelianGroup((4, 6))
-    assert g.order() == 24
-    assert g.identity() == (0, 0)
-    assert g.reduce((5, -1)) == (1, 5)
-    assert g.add((3, 5), (1, 1)) == (0, 0)
-    assert g.element_order((2, 0)) == 2
-    assert g.element_order((1, 1)) == 12
-    assert g.element_order((0, 0)) == 1
-    assert g.subgroup_order([(2, 0), (0, 3)]) == 4
-    assert g.subgroup_order([]) == 1
-    assert g.is_surjective([(1, 0), (0, 1)])
-    assert not g.is_surjective([(2, 0), (0, 1)])
+def unlinked_complement(k):
+    """Complement of k unlinked unknots in S^3: free on k meridians, no relations."""
+    names = [f"K{i}" for i in range(k)]
+    zeros = [[0] * k for _ in range(k)]
+    man = manifold(
+        {
+            "surgery": {"components": [], "matrix": []},
+            "link": {"components": names, "lk_with_surgery": [[] for _ in names], "lk_mutual": zeros},
+        }
+    )
+    return complement_homology(man)
+
+
+def test_cover_target_basics():
+    comp = unlinked_complement(2)
+    cover = make_cover(comp, (4, 6), [(5, -1), (3, 5)])
+    target = cover.target
+    assert target.order() == 24
+    assert cover.values == ((1, 5), (3, 5))
+    assert cover.reduce((3 + 1, 5 + 1)) == (0, 0)
+    assert element_order(target.element((2, 0))) == 2
+    assert element_order(target.element((1, 1))) == 12
+    assert element_order(target.element((0, 0))) == 1
+    # the subgroup the vectors generate has order |target| / |target / subgroup|
+    assert target.order() // target.quotient([(2, 0), (0, 3)]).order() == 4
+    assert target.order() // target.quotient([]).order() == 1
+    assert make_cover(comp, (4, 6), [(1, 0), (0, 1)]).is_surjective()
+    assert not make_cover(comp, (4, 6), [(2, 0), (0, 1)]).is_surjective()
     with pytest.raises(BadInput):
-        FiniteAbelianGroup((0,))
+        make_cover(comp, (0,), [(0,), (0,)])
+    with pytest.raises(BadDimensions):
+        cover.reduce((1,))
 
 
 def test_make_cover_checks_relations(lens5):
     comp = complement_homology(lens5)
-    target = FiniteAbelianGroup((5,))
-    cover = make_cover(comp, target, [[1], [0]])
+    cover = make_cover(comp, (5,), [[1], [0]])
     assert cover.values == ((1,), (0,))
     with pytest.raises(CoverIllDefined):
-        make_cover(comp, target, [[0], [1]])
+        make_cover(comp, (5,), [[0], [1]])
     with pytest.raises(BadDimensions):
-        make_cover(comp, target, [[1]])
+        make_cover(comp, (5,), [[1]])
+
+
+def brute_subgroup(orders, gens):
+    """Every element of the subgroup of prod Z/n the generators span, by closure."""
+    zero = (0,) * len(orders)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = tuple((a + b) % n for a, b, n in zip(x, g, orders))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def test_cover_target_matches_brute_force_subgroups():
+    rng = random.Random(17)
+    comps = [unlinked_complement(k) for k in range(4)]
+    seen_zero_gens = seen_surjective = seen_not_surjective = 0
+    for _ in range(1200):
+        orders = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 3)))
+        k = rng.randint(0, 3)
+        raw = [[rng.randint(-2 * n, 2 * n) for n in orders] for _ in range(k)]
+        cover = make_cover(comps[k], orders, raw)
+        gens = [tuple(x % n for x, n in zip(v, orders)) for v in raw]
+        assert cover.values == tuple(gens)
+        size = 1
+        for n in orders:
+            size *= n
+        target = cover.target
+        assert target.order() == size
+        probe = tuple(rng.randrange(n) for n in orders)
+        for g in gens + [probe]:
+            brute_order = next(m for m in range(1, size + 1) if all(m * x % n == 0 for x, n in zip(g, orders)))
+            assert element_order(target.element(g)) == brute_order
+        subgroup = brute_subgroup(orders, gens)
+        assert size // target.quotient(raw).order() == len(subgroup)
+        assert cover.is_surjective() == (len(subgroup) == size)
+        seen_zero_gens += k == 0
+        seen_surjective += cover.is_surjective()
+        seen_not_surjective += not cover.is_surjective()
+    assert min(seen_zero_gens, seen_surjective, seen_not_surjective) > 100
 
 
 def test_cover_dict_round_trip(hopf):
     comp = complement_homology(hopf)
-    cover = make_cover(comp, FiniteAbelianGroup((2,)), [[1], [0]])
+    cover = make_cover(comp, (2,), [[1], [0]])
     data = cover.to_dict()
     assert data == {"branch_link": ["K1", "K2"], "target": [2], "phi": [[1], [0]]}
     again = CoverSpec.from_dict(hopf, data)
@@ -67,9 +127,16 @@ def test_cover_dict_round_trip(hopf):
         CoverSpec.from_dict(hopf, {"target": [2]})
 
 
+def test_cover_dict_numbers_must_be_json_integers(hopf):
+    good = {"branch_link": ["K1", "K2"], "target": [2], "phi": [[1], [0]]}
+    for key, bad in (("target", [2.7]), ("target", [True]), ("target", ["2"]), ("phi", [[1.0], [0]])):
+        with pytest.raises(BadInput):
+            CoverSpec.from_dict(hopf, {**good, key: bad})
+
+
 def test_symbols_hopf(hopf):
     comp = complement_homology(hopf)
-    cover = make_cover(comp, FiniteAbelianGroup((2,)), [[1], [0]])
+    cover = make_cover(comp, (2,), [[1], [0]])
     assert global_symbol(Idele.of({"K1": (0, 1)}), cover) == (0,)
     assert global_symbol(Idele.of({"K1": (1, 0)}), cover) == (1,)
     assert local_symbol(PeripheralClass("K2", 0, 1), cover) == (1,)
@@ -83,7 +150,7 @@ def test_symbols_hopf(hopf):
 
 def test_decomposition_hopf(hopf):
     comp = complement_homology(hopf)
-    cover = make_cover(comp, FiniteAbelianGroup((2,)), [[1], [0]])
+    cover = make_cover(comp, (2,), [[1], [0]])
     d1 = decomposition_data(cover, "K1")
     d2 = decomposition_data(cover, "K2")
     assert (d1.ramification_index, d1.residue_degree, d1.component_count) == (2, 1, 1)
@@ -107,14 +174,13 @@ def test_decomposition_identity_randomized(hopf, lens5):
 def sample_cover(comp, rng):
     # brute-force sampling: try random value tables until one is well defined
     orders = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 2)))
-    target = FiniteAbelianGroup(orders)
     while True:
         values = [
             [rng.randrange(n) for n in orders]
             for _ in range(comp.group.generator_count)
         ]
         try:
-            return make_cover(comp, target, values)
+            return make_cover(comp, orders, values)
         except CoverIllDefined:
             continue
 
@@ -133,14 +199,14 @@ def test_product_formula_randomized(hopf, lens5):
                     if rng.random() < 0.7
                 }
             )
-            total = cover.target.identity()
+            total = [0] * len(cover.orders)
             for k in a.support:
-                total = cover.target.add(total, local_symbol(a.component(k), cover))
-            assert global_symbol(a, cover) == total
+                total = [x + y for x, y in zip(total, local_symbol(a.component(k), cover))]
+            assert global_symbol(a, cover) == cover.reduce(total)
             principal = Idele.zero()
             for b in basis:
                 principal = principal + rng.randint(-4, 4) * b
-            assert global_symbol(principal, cover) == cover.target.identity()
+            assert not any(global_symbol(principal, cover))
 
 
 def test_kummer_cover_hopf(hopf):

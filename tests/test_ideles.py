@@ -51,6 +51,17 @@ def test_idele_dict_round_trip():
         Idele.from_dict({"K": ["a", "b"]})
 
 
+def test_idele_and_divisor_coefficients_must_be_json_integers():
+    for bad in (0.5, 1.0, True, "1"):
+        with pytest.raises(BadInput):
+            Idele.from_dict({"K": [bad, 1]})
+        with pytest.raises(BadInput):
+            Idele.from_dict({"K": [1, bad]})
+        with pytest.raises(BadInput):
+            Divisor.from_dict({"K": bad})
+    assert Divisor.from_dict({"K": 2, "J": 0}) == Divisor.of({"K": 2})
+
+
 def test_divisor_normalization():
     d = Divisor.of({"B": 2, "A": 0})
     assert d.parts == (("B", 2),)

@@ -121,6 +121,19 @@ def test_malformed_input_dicts():
         )
 
 
+def test_matrix_entries_must_be_json_integers():
+    for bad in (5.9, 5.0, True, "5", None):
+        data = json.loads(json.dumps(LENS5))
+        data["surgery"]["matrix"] = [[bad]]
+        with pytest.raises(BadInput):
+            presentation_from_dict(data)
+    for field in ("lk_with_surgery", "lk_mutual"):
+        data = json.loads(json.dumps(LENS5))
+        data["link"][field] = [[False]]
+        with pytest.raises(BadInput):
+            presentation_from_dict(data)
+
+
 def test_round_trip():
     pres = presentation_from_dict(LENS5)
     assert presentation_from_dict(presentation_to_dict(pres)) == pres
