@@ -66,7 +66,6 @@ from .linalg import (
     IntMatrix,
     SmithForm,
     determinant,
-    hermite_row_basis,
     hstack,
     integer_kernel,
     leading_block_inverse,
@@ -139,7 +138,6 @@ __all__ = [
     "fuzz_suite",
     "global_pairing",
     "global_symbol",
-    "hermite_row_basis",
     "hilbert_symbol",
     "hstack",
     "idele_class_group",

@@ -12,10 +12,19 @@ the surgery matrix, and every cover target), element orders and equality
 come from a fraction-free inverse of that block: the order of x is the
 least common denominator of the rational solution of relations @ t = x,
 and a square presentation has order |det|, the inverse's denominator.
-Invariant factors, and element tests in any other group, come from the
-Smith form of the relations. Both are computed on first use and then
-cached, so a group built only to carry its relations (as most complements
-are) never pays for its Smith transforms.
+
+A group whose leading generator_count x generator_count column block is
+nonsingular contains D * Z^g for D = |det| of that block, its ``modulus``:
+a fraction-free determinant, which needs no inverse, for a square
+presentation, and the parent's D for a ``quotient``, whose leading
+columns are the parent's relations. Invariant factors then come from a
+Hermite basis modulo D and the Smith diagonal of that triangular basis
+(``smith_diagonal_mod``), so no entry grows past D. Only groups without
+a modulus (a link complement, of free rank l, or a class lattice) take
+the full Smith form, which also serves their element tests. Everything
+is computed on first use and then cached, so a group built only to carry
+its relations (as most complements are) never pays for its Smith
+transforms.
 """
 
 from __future__ import annotations
@@ -24,14 +33,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .errors import BadDimensions
+from .errors import BadDimensions, json_int
 from .linalg import (
     IntMatrix,
     SmithForm,
     block_solve,
+    determinant,
     hstack,
     leading_block_inverse,
     preimage_lattice,
+    smith_diagonal_mod,
     smith_normal_form,
 )
 
@@ -48,7 +59,8 @@ class FgAbelianGroup:
 
     invariant_factors lists the nontrivial torsion factors in divisibility
     order followed by one 0 per free factor; unit factors are dropped. It,
-    ``smith_form`` and ``block_inverse`` are computed lazily, once per group.
+    ``modulus``, ``smith_form`` and ``block_inverse`` are computed lazily,
+    once per group.
     """
 
     def __init__(self, generator_count: int, relations: IntMatrix, labels=None):
@@ -73,15 +85,32 @@ class FgAbelianGroup:
         return leading_block_inverse(self.relations)
 
     @cached_property
+    def modulus(self) -> int | None:
+        """|det| of the leading generator_count-column block, or None without a nonsingular one.
+
+        The relations then span a lattice holding modulus * Z^generator_count.
+        """
+        g, rel = self.generator_count, self.relations
+        if rel.cols < g:
+            return None
+        block = IntMatrix(g, g, tuple(x for i in range(g) for x in rel.row(i)[:g]))
+        return abs(determinant(block)) or None
+
+    @cached_property
     def invariant_factors(self) -> tuple[int, ...]:
-        nonzero = [d for d in self.smith_form.diagonal if d != 0]
-        torsion = tuple(d for d in nonzero if d != 1)
+        d = self.modulus
+        if d is not None:
+            rel = self.relations
+            nonzero = smith_diagonal_mod([rel.column(j) for j in range(rel.cols)], self.generator_count, d)
+        else:
+            nonzero = [x for x in self.smith_form.diagonal if x != 0]
+        torsion = tuple(x for x in nonzero if x != 1)
         return torsion + (0,) * (self.generator_count - len(nonzero))
 
     def order(self) -> int | None:
         """Group order, or None when the group is infinite."""
-        if self.relations.cols == self.generator_count and self.block_inverse is not None:
-            return self.block_inverse[1]  # |det| of a square nonsingular presentation
+        if self.relations.cols == self.generator_count and self.modulus is not None:
+            return self.modulus  # |det| of a square nonsingular presentation
         n = 1
         for d in self.invariant_factors:
             if d == 0:
@@ -93,7 +122,7 @@ class FgAbelianGroup:
         return self.invariant_factors == ()
 
     def element(self, coords) -> "GroupElement":
-        coords = tuple(int(x) for x in coords)
+        coords = tuple(json_int(x, "group element coordinate") for x in coords)
         if len(coords) != self.generator_count:
             raise BadDimensions(
                 f"coordinate vector of length {len(coords)} in a group with "
@@ -108,7 +137,10 @@ class FgAbelianGroup:
         """This group modulo the subgroup generated by the given coordinate vectors."""
         columns = [self.element(v).coords for v in generators]
         gens = IntMatrix.from_columns(columns, rows=self.generator_count)
-        return FgAbelianGroup(self.generator_count, hstack(self.relations, gens))
+        group = FgAbelianGroup(self.generator_count, hstack(self.relations, gens))
+        # this group's relations lead, so the leading block and its modulus are this group's
+        group.__dict__["modulus"] = self.modulus
+        return group
 
     def is_zero_vector(self, coords) -> bool:
         """Whether the coordinate vector lies in the column span of the relations."""
@@ -189,7 +221,7 @@ def element_order(e: GroupElement) -> int | None:
 
 def subgroup_invariant_factors(group: FgAbelianGroup, vectors) -> tuple[int, ...]:
     """Invariant factors of the subgroup generated by the given coordinate vectors."""
-    vectors = [[int(x) for x in v] for v in vectors]
+    vectors = [[json_int(x, "subgroup generator coordinate") for x in v] for v in vectors]
     k = len(vectors)
     if k == 0:
         return ()

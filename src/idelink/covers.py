@@ -59,7 +59,7 @@ class CoverSpec:
     """
 
     def __init__(self, complement: ComplementHomology, orders, values):
-        self.orders = tuple(orders)
+        self.orders = tuple(json_int(n, "cyclic order") for n in orders)
         if any(n < 1 for n in self.orders):
             raise BadInput("cyclic orders must be positive")
         t = len(self.orders)
@@ -85,7 +85,7 @@ class CoverSpec:
         """Residues of a target coordinate vector, one per cyclic factor."""
         if len(vec) != len(self.orders):
             raise BadDimensions("element length disagrees with the number of cyclic factors")
-        return tuple(int(v) % n for v, n in zip(vec, self.orders))
+        return tuple(json_int(v, "cover value") % n for v, n in zip(vec, self.orders))
 
     def apply(self, coords) -> tuple[int, ...]:
         """Image of a coordinate vector; constant on relation cosets by validation."""

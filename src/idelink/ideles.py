@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .abelian import FgAbelianGroup, GroupElement
 from .errors import BadInput, DivisorNotPrincipal, SupportOutsideLink, json_int
-from .linalg import IntMatrix, preimage_lattice, solve_integer
+from .linalg import IntMatrix, preimage_lattice
 from .local import ComplementHomology, PeripheralClass, local_intersection
 
 __all__ = [
@@ -55,7 +55,8 @@ class Idele:
         items = components.items() if isinstance(components, dict) else list(components)
         acc: dict[str, tuple[int, int]] = {}
         for name, pair in items:
-            x, y = int(pair[0]), int(pair[1])
+            what = f"idele component at {name!r}"
+            x, y = json_int(pair[0], what), json_int(pair[1], what)
             px, py = acc.get(name, (0, 0))
             acc[name] = (px + x, py + y)
         parts = tuple(
@@ -104,8 +105,7 @@ class Idele:
         for k, v in data.items():
             if not isinstance(v, (list, tuple)) or len(v) != 2:
                 raise BadInput(f"idele component at {k!r} must be a pair [meridian, longitude]")
-            what = f"idele component at {k!r}"
-            out[str(k)] = (json_int(v[0], what), json_int(v[1], what))
+            out[str(k)] = (v[0], v[1])
         return Idele.of(out)
 
 
@@ -125,7 +125,7 @@ class Divisor:
         items = components.items() if isinstance(components, dict) else list(components)
         acc: dict[str, int] = {}
         for name, c in items:
-            acc[name] = acc.get(name, 0) + int(c)
+            acc[name] = acc.get(name, 0) + json_int(c, f"divisor coefficient at {name!r}")
         return Divisor(tuple((k, c) for k, c in sorted(acc.items()) if c != 0))
 
     @property
@@ -145,7 +145,7 @@ class Divisor:
     def from_dict(data) -> "Divisor":
         if not isinstance(data, dict):
             raise BadInput("divisor must be a JSON object mapping knots to integers")
-        return Divisor.of({str(k): json_int(v, f"divisor coefficient at {k!r}") for k, v in data.items()})
+        return Divisor.of({str(k): v for k, v in data.items()})
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,10 @@ def is_principal(comp: ComplementHomology, a: Idele) -> bool:
 def delta_solution(comp: ComplementHomology, divisor: Divisor) -> tuple[list[int], Idele]:
     """Solve for the principal idele with the divisor's longitude coefficients.
 
-    Returns (t, idele) where t solves surgery_matrix @ t = lk_with_surgery^T d;
-    raises DivisorNotPrincipal when the divisor class is nonzero in H1(M).
+    Returns (t, idele) where t solves surgery_matrix @ t = lk_with_surgery^T d,
+    read off the cached inverse of H1(M)'s relations (Lambda @ n = den * I,
+    so t = n @ rhs / den); raises DivisorNotPrincipal when the divisor class
+    is nonzero in H1(M), that is when that quotient is not integral.
     """
     require_support(comp.link, divisor.support)
     man = comp.manifold
@@ -203,18 +205,20 @@ def delta_solution(comp: ComplementHomology, divisor: Divisor) -> tuple[list[int
     d = [divisor.coefficient(k) for k in link]
     rows = [man.knot_index(k) for k in link]
     rhs = [sum(pres.lk_with_surgery[rows[a], j] * d[a] for a in range(len(link))) for j in range(s)]
-    t = solve_integer(pres.surgery_matrix, rhs)
-    if t is None:
+    n, den = man.h1.block_inverse
+    scaled = n.mul_vector(rhs)
+    if any(x % den for x in scaled):
         raise DivisorNotPrincipal(
             "the divisor's class in H1(M) is nonzero, so no 2-chain bounds it"
         )
+    t = [x // den for x in scaled]
     parts = {}
     for a, k in enumerate(link):
         i = rows[a]
         x = sum(pres.lk_with_surgery[i, j] * t[j] for j in range(s))
         x -= sum(pres.lk_mutual[i, rows[b]] * d[b] for b in range(len(link)) if b != a)
         parts[k] = (x, d[a])
-    return list(t), Idele.of(parts)
+    return t, Idele.of(parts)
 
 
 def delta_from_divisor(comp: ComplementHomology, divisor: Divisor) -> Idele:
@@ -234,12 +238,19 @@ def principal_lattice_basis(comp: ComplementHomology) -> list[Idele]:
 
 
 def idele_class_group(comp: ComplementHomology) -> ClassGroupData:
-    """Invariant factors of ideles mod principal ideles, and of coker(rho)."""
+    """Invariant factors of ideles mod principal ideles, and of coker(rho).
+
+    coker(rho) is H1(M - L) modulo every meridian and reference longitude of
+    L. Killing the meridians leaves H1(M), where each reference longitude
+    becomes its knot's class, so the cokernel is H1(M) modulo the classes of
+    L: the group ``Manifold.generates_h1`` asks about, with the modulus
+    |det Lambda|.
+    """
     width = 2 * len(comp.link)
-    peripheral = comp.peripheral_matrix()
-    basis = preimage_lattice(peripheral, comp.relations)
+    basis = preimage_lattice(comp.peripheral_matrix(), comp.relations)
     class_invariants = FgAbelianGroup(width, IntMatrix.from_columns(basis, rows=width)).invariant_factors
-    coker = comp.group.quotient(peripheral.column(j) for j in range(width))
+    man = comp.manifold
+    coker = man.h1.quotient(man.knot_class(k).coords for k in comp.link)
     return ClassGroupData(
         link=comp.link,
         class_invariants=class_invariants,

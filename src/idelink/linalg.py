@@ -23,14 +23,20 @@ Element tests against a relation matrix whose leading square block is
 nonsingular (every surgery matrix is) go through ``leading_block_inverse``,
 a fraction-free inverse of that block whose entries are minors: the rational
 solution of ``a @ t = c`` is ``n @ c_top / den``, so ``solve_integer`` and
-element orders need no Smith form there. The Smith form remains for
-invariant factors and for relation matrices without such a block.
+element orders need no Smith form there.
+
+Invariant factors of a lattice that holds d * Z^n for a known d (the
+determinant of a nonsingular leading block) come from ``smith_diagonal_mod``:
+a Hermite basis modulo d, then a transform-free Smith diagonal of that
+triangular basis, every entry kept below d. The Smith form remains for
+groups without a modulus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -298,60 +304,6 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     )
 
 
-def hermite_row_basis(rows: list) -> list[list[int]]:
-    """Canonical Hermite basis of the row lattice spanned by ``rows``.
-
-    Row echelon over the integers: pivots positive, entries above each pivot
-    reduced into [0, pivot). The output depends only on the spanned lattice.
-    """
-    work = [list(int(x) for x in r) for r in rows if any(r)]
-    if not work:
-        return []
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):
-        found = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                found = i
-                break
-        if found is None:
-            continue
-        work[r], work[found] = work[found], work[r]
-        for i in range(r + 1, len(work)):
-            while work[i][c]:
-                a, b = work[r][c], work[i][c]
-                if b % a == 0:
-                    q = b // a
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-                else:
-                    g, x, y = _xgcd(a, b)
-                    p, q2 = a // g, b // g
-                    new_r = [x * s + y * t for s, t in zip(work[r], work[i])]
-                    new_i = [-q2 * s + p * t for s, t in zip(work[r], work[i])]
-                    work[r], work[i] = new_r, new_i
-        if work[r][c] < 0:
-            work[r] = [-x for x in work[r]]
-        pivot = work[r][c]
-        for k in range(r):
-            q = work[k][c] // pivot
-            if q:
-                work[k] = [x - q * y for x, y in zip(work[k], work[r])]
-        r += 1
-    return work[:r]
-
-
-def lattice_reduce(vec, basis_rows: list) -> list[int]:
-    """Canonical representative of ``vec`` modulo the Hermite row basis."""
-    x = [int(t) for t in vec]
-    for b in basis_rows:
-        c = next(i for i, t in enumerate(b) if t)
-        q = x[c] // b[c]
-        if q:
-            x = [s - q * t for s, t in zip(x, b)]
-    return x
-
-
 def _fraction_free_nullspace(a: IntMatrix) -> tuple[list[int], list[int], list[list[int]], int]:
     """Rational kernel of ``a`` by fraction-free (Bareiss) Gauss-Jordan elimination.
 
@@ -395,42 +347,49 @@ def _hermite_basis_mod(rows: list, width: int, d: int) -> list[list[int]]:
 
     The lattice holds d * Z^width, so every entry can be kept in [0, d)
     (Domich-Kannan-Trotter; Cohen, Alg. 2.4.8) and the result has exactly one
-    row per column. It equals ``hermite_row_basis(rows + d * identity)``.
+    row per column: the upper triangular Hermite basis of that full-rank
+    lattice, pivots positive and dividing d, entries above each pivot in
+    [0, pivot).
     """
     if d < 1:
         raise ArithmeticError(f"Hermite modulus must be positive, got {d}")
     work = [[x % d for x in r] for r in rows]
     basis = []
     for c in range(width):
-        # merge column c of every row into one pivot row; the others end with 0 there
+        # every row of work holds only its entries from column c on, the earlier
+        # ones being 0; merge column c into one pivot row, the others end with 0
+        # there and lose that entry
         piv = None
         rest = []
         for w in work:
-            b = w[c]
+            b = w[0]
             if not b:
                 if any(w):
-                    rest.append(w)
+                    rest.append(w[1:])
             elif piv is None:
                 piv = w
             else:
-                a = piv[c]
-                g, x, y = _xgcd(a, b)
-                p, q = a // g, b // g
-                cleared = [(p * t - q * s) % d for s, t in zip(piv, w)]
-                piv = [(x * s + y * t) % d for s, t in zip(piv, w)]
+                a = piv[0]
+                if b % a == 0:
+                    k = b // a
+                    cleared = [(t - k * s) % d for s, t in zip(piv[1:], w[1:])]
+                else:
+                    g, x, y = _xgcd(a, b)
+                    p, q = a // g, b // g
+                    cleared = [(p * t - q * s) % d for s, t in zip(piv[1:], w[1:])]
+                    piv = [(x * s + y * t) % d for s, t in zip(piv, w)]
                 if any(cleared):
                     rest.append(cleared)
         if piv is None:
-            row = [0] * width
-            row[c] = d
+            row = [d] + [0] * (width - c - 1)
         else:
             # (piv, d e_c) -> (u piv + v d e_c, -(d/h) piv + (a/h) d e_c) is unimodular
-            h, u, _ = _xgcd(piv[c], d)
+            h, u, _ = _xgcd(piv[0], d)
             row = [u * s % d for s in piv]
-            left = [(d // h) * s % d for s in piv]
+            left = [(d // h) * s % d for s in piv[1:]]
             if any(left):
                 rest.append(left)
-        basis.append(row)
+        basis.append([0] * c + row)
         work = rest
     # reduce above each pivot; d * Z^width lies in the lattice, so entries stay in [0, d)
     for r in range(width - 2, -1, -1):
@@ -440,6 +399,66 @@ def _hermite_basis_mod(rows: list, width: int, d: int) -> list[list[int]]:
             if q:
                 row[i:] = [(s - q * t) % d for s, t in zip(row[i:], basis[i][i:])]
     return basis
+
+
+def smith_diagonal_mod(rows: list, width: int, d: int) -> list[int]:
+    """Smith diagonal of the lattice span(rows) + d * Z^width, computed mod d.
+
+    The lattice holds d * Z^width, so its Smith form can be taken on the
+    Hermite basis from ``_hermite_basis_mod`` with every entry reduced mod d
+    (Hafner-McCurley; Cohen, Alg. 2.4.14): a row move recombines generators
+    and a column move changes the basis of Z^width, and dropping a multiple
+    of d leaves the lattice unchanged. A pivot p left alone in its row and
+    column stands for the factor gcd(p, d). No transform is kept, so no entry
+    ever reaches d. Returns ``width`` positive entries in divisibility order,
+    each dividing d, whose product is the index of the lattice in Z^width.
+    """
+    m = [[x % d for x in row] for row in _hermite_basis_mod(rows, width, d)]
+    diagonal = []
+    for t in range(width):
+        while True:
+            # clear column t below the pivot with unimodular row moves
+            for i in range(t + 1, width):
+                b = m[i][t]
+                if not b:
+                    continue
+                a, rt, ri = m[t][t], m[t], m[i]
+                if a and b % a == 0:
+                    k = b // a
+                    m[i] = [(y - k * x) % d for x, y in zip(rt, ri)]
+                else:
+                    g, u, v = _xgcd(a, b)
+                    p, q = a // g, b // g
+                    m[t] = [(u * x + v * y) % d for x, y in zip(rt, ri)]
+                    m[i] = [(p * y - q * x) % d for x, y in zip(rt, ri)]
+            # clear row t right of the pivot with unimodular column moves
+            for j in range(t + 1, width):
+                b = m[t][j]
+                if not b:
+                    continue
+                a = m[t][t]
+                if a and b % a == 0:
+                    k = b // a
+                    for row in m[t:]:
+                        row[j] = (row[j] - k * row[t]) % d
+                else:
+                    g, u, v = _xgcd(a, b)
+                    p, q = a // g, b // g
+                    for row in m[t:]:
+                        x, y = row[t], row[j]
+                        row[t] = (u * x + v * y) % d
+                        row[j] = (p * y - q * x) % d
+            # a column move that shrank the pivot may have refilled column t
+            if all(m[i][t] == 0 for i in range(t + 1, width)):
+                break
+        diagonal.append(gcd(m[t][t], d))
+    # Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b) turns the diagonal into a divisibility chain
+    for i in range(width):
+        for j in range(i + 1, width):
+            a, b = diagonal[i], diagonal[j]
+            g = gcd(a, b)
+            diagonal[i], diagonal[j] = g, a // g * b
+    return diagonal
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:
@@ -488,6 +507,19 @@ def preimage_lattice(a: IntMatrix, b: IntMatrix) -> list[list[int]]:
     ker = integer_kernel(hstack(a, b))
     rows = [list(ker.column(j)[: a.cols]) for j in range(ker.cols)]
     return [r for r in rows if any(r)]
+
+
+def hermite_row_basis(rows: list) -> list[list[int]]:
+    """Canonical Hermite basis of the row lattice spanned by ``rows``.
+
+    That lattice is {x : x lies in the column span of rows^T}, so this is
+    ``preimage_lattice(I, rows^T)``: pivots positive, entries above each
+    pivot reduced into [0, pivot), zero rows dropped.
+    """
+    if not rows:
+        return []
+    n = len(rows[0])
+    return preimage_lattice(IntMatrix.identity(n), IntMatrix.from_columns(rows, rows=n))
 
 
 def leading_block_inverse(a: IntMatrix) -> tuple[IntMatrix, int] | None:

@@ -19,15 +19,26 @@ K in L,
 The preferred longitude of K is the exact generator of the kernel of
 H1(boundary torus) -> H1(M - K), sign-normalized to positive longitude
 coefficient; its longitude coefficient equals the order of [K] in H1(M).
+It has a closed form on the cached fraction-free inverse (N, den) of the
+surgery matrix Lambda (Lambda N = den * I): with ell_K the row of linking
+numbers of K with the surgery link and t = N ell_K^T,
+
+    o_K = den / gcd(den, t),    lambda_K = (o_K * ell_K . t / den, o_K),
+
+that is o_K times the rational kernel class (ell_K Lambda^-1 ell_K^T, 1),
+o_K being the least multiple that makes it integral. So every knot shares
+one inverse with ``Manifold.knot_order``, and no one-knot complement or
+integer kernel is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .abelian import FgAbelianGroup, GroupElement
 from .errors import KnotOutsideLink, MismatchedKnot
-from .linalg import IntMatrix, preimage_lattice
+from .linalg import IntMatrix
 from .presentation import Manifold
 
 __all__ = [
@@ -170,15 +181,15 @@ def preferred_longitude(manifold: Manifold, knot: str) -> LongitudeData:
 
     The kernel has rank one because the ambient manifold is a rational
     homology sphere; the generator is normalized to positive longitude
-    coefficient. It can fail to be primitive in the full peripheral lattice
-    when the knot class has torsion order > 1; it always generates the
-    kernel exactly.
+    coefficient and read off the closed form in the module docstring. It can
+    fail to be primitive in the full peripheral lattice when the knot class
+    has torsion order > 1; it always generates the kernel exactly.
     """
-    comp = complement_homology(manifold, (knot,))
-    basis = preimage_lattice(comp.peripheral_matrix(), comp.relations)
-    if len(basis) != 1 or basis[0][1] == 0:
-        raise ArithmeticError(f"peripheral kernel of {knot!r} is not one class with nonzero longitude: {basis}")
-    x, y = basis[0]
-    if y < 0:
-        x, y = -x, -y
+    ell = manifold.presentation.lk_with_surgery.row(manifold.knot_index(knot))
+    n, den = manifold.h1.block_inverse
+    t = n.mul_vector(ell)
+    y = den // gcd(den, *t)
+    x, rem = divmod(y * sum(a * b for a, b in zip(ell, t)), den)
+    if rem:
+        raise ArithmeticError(f"meridian coefficient of the longitude of {knot!r} is not an integer")
     return LongitudeData(lambda_class=PeripheralClass(knot, x, y), index=y, is_basis=(y == 1))

@@ -31,7 +31,7 @@ from .errors import (
     UnknownKnot,
     json_int,
 )
-from .linalg import IntMatrix, determinant, solve_each_mod_subgroup, solve_rational
+from .linalg import IntMatrix, solve_each_mod_subgroup, solve_rational
 
 __all__ = [
     "SurgeryPresentation",
@@ -265,6 +265,8 @@ def load_and_validate(p: SurgeryPresentation) -> Manifold:
         if name in seen:
             raise DuplicateName(f"name {name!r} used twice")
         seen.add(name)
-    if determinant(p.surgery_matrix) == 0:
+    manifold = Manifold(p)
+    # |det Lambda| is the modulus of H1(M), so it is computed once, here
+    if manifold.h1.modulus is None:
         raise NotQHS3("surgery matrix is singular")
-    return Manifold(p)
+    return manifold

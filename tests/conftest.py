@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from idelink import Manifold, load_and_validate, presentation_from_dict
+from idelink import IntMatrix, Manifold, SurgeryPresentation, determinant, load_and_validate, presentation_from_dict
 
 LENS5 = {
     "surgery": {"components": ["L1"], "matrix": [[5]]},
@@ -28,6 +28,32 @@ LENS4_TWICE = {
 
 def manifold(data) -> Manifold:
     return load_and_validate(presentation_from_dict(data))
+
+
+def random_manifold(rng, max_surgery, max_link, bound):
+    """A validated rational homology sphere with random linking data."""
+    s = rng.randint(0, max_surgery)
+    r = rng.randint(1, max_link)
+    while True:
+        rows = [[0] * s for _ in range(s)]
+        for i in range(s):
+            for j in range(i, s):
+                rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
+        if s == 0 or determinant(IntMatrix.from_rows(rows)):
+            break
+    lk_mut = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            lk_mut[i][j] = lk_mut[j][i] = rng.randint(-bound, bound)
+    return load_and_validate(
+        SurgeryPresentation.build(
+            [f"L{i + 1}" for i in range(s)],
+            rows,
+            [f"K{i + 1}" for i in range(r)],
+            [[rng.randint(-bound, bound) for _ in range(s)] for _ in range(r)],
+            lk_mut,
+        )
+    )
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from idelink.abelian import FgAbelianGroup, element_order, subgroup_invariant_factors
-from idelink.errors import BadDimensions
+from idelink.errors import BadDimensions, BadInput
 from idelink.linalg import IntMatrix, determinant, smith_normal_form
 
 
@@ -165,6 +165,103 @@ def test_subgroup_invariant_factors():
     assert subgroup_invariant_factors(z2z, [[1, 0]]) == (2,)
     assert subgroup_invariant_factors(z2z, [[0, 1]]) == (0,)
     assert subgroup_invariant_factors(z2z, [[1, 0], [0, 1]]) == (2, 0)
+
+
+def factors_via_smith(g: FgAbelianGroup) -> tuple[int, ...]:
+    """Oracle: the diagonal of the full Smith form, units dropped, one 0 per free factor."""
+    nonzero = [d for d in smith_normal_form(g.relations).diagonal if d]
+    return tuple(d for d in nonzero if d != 1) + (0,) * (g.generator_count - len(nonzero))
+
+
+def test_invariant_factors_modulo_the_determinant_match_the_full_smith_form():
+    rng = random.Random(6606)
+    seen = {"square": 0, "square quotient": 0, "cyclic": 0, "cyclic quotient": 0, "no modulus": 0}
+    for t in range(1200):
+        gens = rng.randint(1, 6)
+        bound = rng.choice((1, 5, 50))
+        kind = t % 3
+        if kind == 0:  # square nonsingular
+            while True:
+                m = [[rng.randint(-bound, bound) for _ in range(gens)] for _ in range(gens)]
+                if determinant(IntMatrix.from_rows(m)):
+                    break
+            g = FgAbelianGroup(gens, IntMatrix.from_rows(m))
+            assert g.modulus == abs(determinant(g.relations))
+            name = "square"
+        elif kind == 1:  # a cover target diag(n_1, ..., n_t)
+            orders = [rng.randint(1, bound + 1) for _ in range(gens)]
+            g = FgAbelianGroup(gens, IntMatrix.from_rows([[n if i == j else 0 for j in range(gens)] for i, n in enumerate(orders)]))
+            assert g.modulus == math.prod(orders)
+            name = "cyclic"
+        else:  # square singular or tall: no modulus, the full Smith form
+            cols = rng.randint(0, gens - 1) if rng.random() < 0.5 or gens == 1 else gens
+            m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(gens)]
+            if cols == gens:
+                m[-1] = [2 * x for x in m[0]]
+            g = FgAbelianGroup(gens, IntMatrix.from_rows(m) if cols else IntMatrix(gens, 0, ()))
+            assert g.modulus is None
+            assert g.invariant_factors == factors_via_smith(g), m
+            seen["no modulus"] += 1
+            continue
+        assert g.invariant_factors == factors_via_smith(g), (name, g.relations)
+        seen[name] += 1
+        vectors = [[rng.randint(-bound, bound) for _ in range(gens)] for _ in range(rng.randint(0, 4))]
+        q = g.quotient(vectors)
+        # the quotient inherits the modulus its own leading block gives
+        assert q.modulus == g.modulus == FgAbelianGroup(gens, q.relations).modulus
+        assert q.invariant_factors == factors_via_smith(q), (name, q.relations)
+        seen[name + " quotient"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_modulus_needs_a_nonsingular_leading_column_block():
+    assert group(2, [[2, 0], [0, 3], [1, 1]]).modulus == 6
+    assert group(2, [[2, 4], [1, 2], [0, 5]]).modulus is None  # leading block singular
+    assert group(2, [[2, 4], [1, 2], [0, 5]]).invariant_factors == (5,)
+    assert group(2, [[2, 0]]).modulus is None
+    assert group(0, []).modulus == 1
+    assert group(0, []).invariant_factors == ()
+
+
+def symmetric(rng, n, bound):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.randint(-bound, bound)
+    return m
+
+
+def test_invariant_factors_match_sympy_at_48():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    def expected(rows):
+        return tuple(int(x) for x in sympy_factors(sympy.Matrix(rows), domain=sympy.ZZ) if x != 1)
+
+    rng = random.Random(48)
+    n = 48
+    while True:
+        lam = symmetric(rng, n, 5)
+        if determinant(IntMatrix.from_rows(lam)):
+            break
+    h1 = FgAbelianGroup(n, IntMatrix.from_rows(lam))
+    assert h1.invariant_factors == expected(lam)
+    # 48 x 96: H1 modulo six times 48 random classes, so the quotient is nontrivial
+    classes = [[6 * rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    q = h1.quotient(classes)
+    assert (q.relations.rows, q.relations.cols) == (48, 96)
+    assert q.invariant_factors == expected(q.relations.to_rows())
+    assert q.invariant_factors
+
+
+def test_element_coordinates_must_be_integers():
+    z5 = group(1, [[5]])
+    assert z5.element([7]).coords == (7,)
+    for bad in ([1.5], [2.0], [True], ["3"]):
+        with pytest.raises(BadInput):
+            z5.element(bad)
+    with pytest.raises(BadInput):
+        z5.quotient([[0.5]])
 
 
 def test_relation_shape_is_checked():

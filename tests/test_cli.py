@@ -1,14 +1,17 @@
 """Command-line surface: golden outputs, error codes, determinism."""
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+from idelink import abelian, linalg
 from idelink.cli import run_command
+from idelink.presentation import presentation_to_dict
 
-from conftest import HOPF, LENS5
+from conftest import HOPF, LENS5, random_manifold
 
 
 def run(capsys, *argv):
@@ -121,6 +124,55 @@ def test_kummer(capsys, hopf_path):
         "cover": {"branch_link": ["K1", "K2"], "target": [2], "phi": [[1], [0]]},
         "branch_locus": ["K1"],
     }
+
+
+def has_nonsingular_leading_block(a) -> bool:
+    """Whether the leading rows x rows column block of ``a`` exists and is nonsingular."""
+    if a.cols < a.rows:
+        return False
+    block = linalg.IntMatrix(a.rows, a.rows, tuple(x for i in range(a.rows) for x in a.row(i)[: a.rows]))
+    return linalg.determinant(block) != 0
+
+
+def test_h1_commands_read_one_inverse_each_and_no_smith_form_with_a_modulus(capsys, tmp_path, monkeypatch):
+    rng = random.Random(9909)
+    while True:
+        man = random_manifold(rng, 6, 4, 5)
+        if len(man.surgery_names) >= 4 and man.h1.invariant_factors and man.generates_h1(man.knot_names):
+            break
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(presentation_to_dict(man.presentation)))
+    calls = {"inverse": 0, "kernel": 0, "smith": []}
+    real_inverse, real_kernel, real_smith = linalg.leading_block_inverse, linalg.integer_kernel, linalg.smith_normal_form
+
+    def inverse(a):
+        calls["inverse"] += 1
+        return real_inverse(a)
+
+    def kernel(a):
+        calls["kernel"] += 1
+        return real_kernel(a)
+
+    def smith(a):
+        calls["smith"].append(a)
+        return real_smith(a)
+
+    for module in (abelian, linalg):
+        monkeypatch.setattr(module, "leading_block_inverse", inverse)
+        monkeypatch.setattr(module, "smith_normal_form", smith)
+    monkeypatch.setattr(linalg, "integer_kernel", kernel)
+
+    code, out = run(capsys, "info", str(path))
+    assert code == 0 and out["admissible"] is True
+    assert (calls["inverse"], calls["kernel"]) == (1, 0)
+    order = out["knots"]["K1"]["order"]
+    assert run(capsys, "class-group", str(path))[0] == 0
+    assert calls["inverse"] == 1  # the cokernel needs only |det Lambda|
+    assert calls["kernel"] > 0  # class-group takes the principal lattice
+    assert run(capsys, "kummer", str(path), "--divisor", f"K1={order}", "--n", "3")[0] == 0
+    assert calls["inverse"] == 2  # the 2-chain solve
+    assert calls["smith"]  # and the Smith form of the class lattice, which has no modulus
+    assert not any(has_nonsingular_leading_block(a) for a in calls["smith"])
 
 
 def test_hilbert(capsys, hopf_path):

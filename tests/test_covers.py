@@ -134,6 +134,17 @@ def test_cover_dict_numbers_must_be_json_integers(hopf):
             CoverSpec.from_dict(hopf, {**good, key: bad})
 
 
+def test_make_cover_refuses_non_integer_values_and_orders(hopf):
+    comp = complement_homology(hopf)
+    assert make_cover(comp, (2,), [[3], [0]]).values == ((1,), (0,))
+    for orders, values in (((2,), [[1.5], [0]]), ((2,), [[1], [True]]), ((2.0,), [[1], [0]])):
+        with pytest.raises(BadInput):
+            make_cover(comp, orders, values)
+    cover = make_cover(comp, (2,), [[1], [0]])
+    with pytest.raises(BadInput):
+        cover.reduce([0.5])
+
+
 def test_symbols_hopf(hopf):
     comp = complement_homology(hopf)
     cover = make_cover(comp, (2,), [[1], [0]])

@@ -16,10 +16,10 @@ from idelink.ideles import (
     principal_lattice_basis,
     rho_tilde,
 )
-from idelink.linalg import hermite_row_basis
 from idelink.local import PeripheralClass, complement_homology
 
-from conftest import manifold
+from conftest import manifold, random_manifold
+from oracles import hermite_row_basis
 
 
 def test_idele_normalization():
@@ -29,6 +29,19 @@ def test_idele_normalization():
     assert Idele.of({"K": (0, 0)}).support == ()
     assert a.component("B") == PeripheralClass("B", 1, 2)
     assert a.component("missing").is_zero()
+
+
+def test_idele_and_divisor_constructors_refuse_non_integers():
+    assert Idele.of({"K1": (2, 1)}).to_dict() == {"K1": [2, 1]}
+    for pair in ((0.5, 1), (0, 1.0), (True, 0), ("1", 0)):
+        with pytest.raises(BadInput):
+            Idele.of({"K1": pair})
+    with pytest.raises(BadInput):
+        Idele.of([("K1", (1, 2.5))])
+    assert Divisor.of({"K1": 3}).to_dict() == {"K1": 3}
+    for c in (1.5, 2.0, False, "2"):
+        with pytest.raises(BadInput):
+            Divisor.of({"K1": c})
 
 
 def test_idele_arithmetic():
@@ -155,6 +168,22 @@ def test_cokernel_detects_non_admissible_stage():
     )
     data = idele_class_group(complement_homology(man))
     assert data.coker_invariants == (5,)
+
+
+def test_cokernel_is_h1_modulo_the_knot_classes():
+    # coker(rho) read through H1(M) equals the complement modulo its whole peripheral image
+    rng = random.Random(8808)
+    nontrivial = 0
+    for _ in range(300):
+        man = random_manifold(rng, 6, 5, rng.choice((2, 5)))
+        link = [k for k in man.knot_names if rng.random() < 0.6] or [man.knot_names[0]]
+        comp = complement_homology(man, link)
+        peripheral = comp.peripheral_matrix()
+        direct = comp.group.quotient(peripheral.column(j) for j in range(peripheral.cols))
+        data = idele_class_group(comp)
+        assert data.coker_invariants == direct.invariant_factors, (man.presentation, link)
+        nontrivial += data.coker_invariants != ()
+    assert nontrivial > 50, nontrivial
 
 
 def test_support_validation(hopf):

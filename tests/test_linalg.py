@@ -4,8 +4,11 @@ The Smith form is cross-checked against the determinantal-divisor oracle
 (gcd of all k x k minors), the Bareiss determinant against cofactor
 expansion, solve_mod_subgroup against exhaustive search, the integer
 kernel against the Smith-transform route it replaced, preimage_lattice
-against a second Hermite pass over its sliced kernel, and the solves that
-run on leading_block_inverse against the Smith-form solves they replaced.
+against a second Hermite pass over its sliced kernel, the solves that run
+on leading_block_inverse against the Smith-form solves they replaced, and
+smith_diagonal_mod against the full Smith form of the generators with
+d * I appended. The Hermite oracles are the plain eliminations in
+``oracles.py``.
 """
 
 import itertools
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import manifold
+from oracles import hermite_row_basis, lattice_reduce
 
 from idelink import (
     Divisor,
@@ -32,12 +36,11 @@ from idelink.linalg import (
     IntMatrix,
     _hermite_basis_mod,
     determinant,
-    hermite_row_basis,
     hstack,
     integer_kernel,
-    lattice_reduce,
     leading_block_inverse,
     preimage_lattice,
+    smith_diagonal_mod,
     smith_normal_form,
     solve_each_mod_subgroup,
     solve_integer,
@@ -232,6 +235,39 @@ def test_hermite_mod_matches_hermite_of_augmented_generators(modulus):
         assert _hermite_basis_mod(gens, width, modulus) == hermite_row_basis(gens + scaled)
 
 
+def test_smith_diagonal_mod_frozen_examples():
+    assert smith_diagonal_mod([[2, 0], [0, 3]], 2, 6) == [1, 6]
+    assert smith_diagonal_mod([[4, 0], [0, 6]], 2, 24) == [2, 12]
+    assert smith_diagonal_mod([], 2, 12) == [12, 12]
+    assert smith_diagonal_mod([[1, 5]], 2, 7) == [1, 7]
+    assert smith_diagonal_mod([[3, 4]], 2, 1) == [1, 1]
+    assert smith_diagonal_mod([], 0, 5) == []
+    # the elimination leaves the pivot 40 here, which stands for gcd(40, 60) = 20
+    gens = [[5, -32, -34, -6, 47, 42], [5, -32, -38, 24, 46, 32]]
+    assert smith_diagonal_mod(gens, 6, 60) == [1, 1, 60, 60, 60, 60]
+
+
+def test_smith_diagonal_mod_matches_smith_of_augmented_generators():
+    rng = random.Random(3303)
+    for _ in range(600):
+        width = rng.randint(1, 5)
+        modulus = rng.choice((1, 2, 12, 97, 360, 2**61 - 1))
+        gens = [[rng.randint(-50, 50) for _ in range(width)] for _ in range(rng.randint(0, 5))]
+        scaled = [[modulus if i == j else 0 for j in range(width)] for i in range(width)]
+        full = smith_normal_form(IntMatrix.from_columns(gens + scaled, rows=width)).diagonal
+        assert smith_diagonal_mod(gens, width, modulus) == list(full), (gens, modulus)
+
+
+def test_hermite_row_basis_matches_the_elimination_oracle():
+    rng = random.Random(3304)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(rng.randint(0, 5))]
+        if rows and rng.random() < 0.3:
+            rows.append([2 * x for x in rows[0]])
+        assert linalg.hermite_row_basis(rows) == hermite_row_basis(rows), rows
+
+
 def test_hermite_mod_rejects_nonpositive_modulus():
     for d in (0, -3):
         with pytest.raises(ArithmeticError):
@@ -304,7 +340,8 @@ def test_complement_queries_run_no_smith_form_on_the_complement(monkeypatch):
     comp = complement_homology(manifold(TWO_KNOTS))
     assert principal_lattice_basis(comp)
     kummer_cover(comp, Divisor.of({"K1": 2, "K2": 1}), 3)
-    assert inputs, "the admissibility check inside kummer_cover takes a Smith form"
+    # the admissibility check inside kummer_cover reads H1 modulo |det Lambda|
+    assert inputs == []
     assert sum(a == comp.relations for a in inputs) == 0
     assert comp.group.invariant_factors == (0, 0)
     assert sum(a == comp.relations for a in inputs) == 1

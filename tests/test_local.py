@@ -1,10 +1,13 @@
 """Peripheral classes, valuations, the local pairing, preferred longitudes."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idelink.errors import KnotOutsideLink, MismatchedKnot
+from idelink.errors import KnotOutsideLink, MismatchedKnot, UnknownKnot
+from idelink.linalg import preimage_lattice
 from idelink.local import (
     PeripheralClass,
     complement_homology,
@@ -13,7 +16,7 @@ from idelink.local import (
     valuation,
 )
 
-from conftest import HOPF, manifold
+from conftest import HOPF, manifold, random_manifold
 
 
 def test_peripheral_arithmetic():
@@ -122,3 +125,30 @@ def test_longitude_lies_in_kernel_and_index_matches_order():
             assert comp.class_of(ld.lambda_class).is_zero()
             assert ld.index == man.knot_order(k)
             assert valuation(ld.lambda_class) % man.knot_order(k) == 0
+
+
+def longitude_via_kernel(man, knot):
+    """Oracle: the peripheral kernel of the one-knot complement, longitude made positive."""
+    comp = complement_homology(man, (knot,))
+    (x, y), = preimage_lattice(comp.peripheral_matrix(), comp.relations)
+    return (x, y) if y > 0 else (-x, -y)
+
+
+def test_closed_form_longitude_matches_the_peripheral_kernel():
+    rng = random.Random(7707)
+    knots = nonbasis = 0
+    for _ in range(320):
+        man = random_manifold(rng, 7, 3, rng.choice((2, 5, 12)))
+        for k in man.knot_names:
+            ld = preferred_longitude(man, k)
+            got = (ld.lambda_class.meridian, ld.lambda_class.longitude)
+            assert got == longitude_via_kernel(man, k), (man.presentation, k)
+            assert ld.index == man.knot_order(k) == got[1]
+            knots += 1
+            nonbasis += not ld.is_basis
+    assert knots > 600 and nonbasis > 300, (knots, nonbasis)
+
+
+def test_longitude_of_an_undeclared_knot_is_refused(lens5):
+    with pytest.raises(UnknownKnot):
+        preferred_longitude(lens5, "missing")
