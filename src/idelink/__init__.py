@@ -17,149 +17,105 @@ with exact integer and rational arithmetic, no floats anywhere:
 
 Conventions are fixed in the individual module docstrings; the JSON input
 schema is documented in ``presentation`` and the README.
+
+Every name in ``__all__`` is resolved from its home module on first use and
+then cached here, so ``import idelink`` loads no submodule, and a command-line
+call loads only the layers its subcommand needs.
 """
 
-from .abelian import FgAbelianGroup, GroupElement, element_order, subgroup_invariant_factors
-from .covers import (
-    CoverSpec,
-    DecompositionData,
-    KummerCover,
-    decomposition_data,
-    global_symbol,
-    hilbert_symbol,
-    kummer_cover,
-    local_symbol,
-    make_cover,
-)
-from .errors import (
-    AsymmetricMatrix,
-    BadDimensions,
-    BadInput,
-    BadModulus,
-    CoverIllDefined,
-    DivisorNotPrincipal,
-    DuplicateName,
-    IdelinkError,
-    KnotOutsideLink,
-    MismatchedKnot,
-    NotAdmissible,
-    NotQHS3,
-    SelfLinking,
-    SupportOutsideLink,
-    UnknownKnot,
-)
-from .fuzz import FuzzConfig, Report, fuzz_suite
-from .ideles import (
-    ClassGroupData,
-    Divisor,
-    Idele,
-    delta_from_divisor,
-    embed_local,
-    global_pairing,
-    idele_class_group,
-    idele_coords,
-    is_principal,
-    principal_lattice_basis,
-    rho_tilde,
-)
-from .linalg import (
-    IntMatrix,
-    SmithForm,
-    determinant,
-    hstack,
-    integer_kernel,
-    leading_block_inverse,
-    preimage_lattice,
-    smith_normal_form,
-    solve_integer,
-    solve_mod_subgroup,
-    solve_rational,
-)
-from .local import (
-    ComplementHomology,
-    LongitudeData,
-    PeripheralClass,
-    complement_homology,
-    local_intersection,
-    preferred_longitude,
-    valuation,
-)
-from .presentation import (
-    AdmissibilityCertificate,
-    Manifold,
-    SurgeryPresentation,
-    load_and_validate,
-    presentation_from_dict,
-    presentation_to_dict,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityCertificate",
-    "AsymmetricMatrix",
-    "BadDimensions",
-    "BadInput",
-    "BadModulus",
-    "ClassGroupData",
-    "ComplementHomology",
-    "CoverIllDefined",
-    "CoverSpec",
-    "DecompositionData",
-    "Divisor",
-    "DivisorNotPrincipal",
-    "DuplicateName",
-    "FgAbelianGroup",
-    "FuzzConfig",
-    "GroupElement",
-    "Idele",
-    "IdelinkError",
-    "IntMatrix",
-    "KnotOutsideLink",
-    "KummerCover",
-    "LongitudeData",
-    "Manifold",
-    "MismatchedKnot",
-    "NotAdmissible",
-    "NotQHS3",
-    "PeripheralClass",
-    "Report",
-    "SelfLinking",
-    "SmithForm",
-    "SupportOutsideLink",
-    "SurgeryPresentation",
-    "UnknownKnot",
-    "complement_homology",
-    "decomposition_data",
-    "delta_from_divisor",
-    "determinant",
-    "element_order",
-    "embed_local",
-    "fuzz_suite",
-    "global_pairing",
-    "global_symbol",
-    "hilbert_symbol",
-    "hstack",
-    "idele_class_group",
-    "idele_coords",
-    "integer_kernel",
-    "is_principal",
-    "kummer_cover",
-    "leading_block_inverse",
-    "load_and_validate",
-    "local_intersection",
-    "local_symbol",
-    "make_cover",
-    "preferred_longitude",
-    "preimage_lattice",
-    "presentation_from_dict",
-    "presentation_to_dict",
-    "principal_lattice_basis",
-    "rho_tilde",
-    "smith_normal_form",
-    "solve_integer",
-    "solve_mod_subgroup",
-    "solve_rational",
-    "subgroup_invariant_factors",
-    "valuation",
-]
+# home module of every exported name
+_EXPORTS = {
+    "abelian": ("FgAbelianGroup", "GroupElement", "element_order", "subgroup_invariant_factors"),
+    "covers": (
+        "CoverSpec",
+        "DecompositionData",
+        "KummerCover",
+        "decomposition_data",
+        "global_symbol",
+        "hilbert_symbol",
+        "kummer_cover",
+        "local_symbol",
+        "make_cover",
+    ),
+    "errors": (
+        "AsymmetricMatrix",
+        "BadDimensions",
+        "BadInput",
+        "BadModulus",
+        "CoverIllDefined",
+        "DivisorNotPrincipal",
+        "DuplicateName",
+        "IdelinkError",
+        "KnotOutsideLink",
+        "MismatchedKnot",
+        "NotAdmissible",
+        "NotQHS3",
+        "SelfLinking",
+        "SupportOutsideLink",
+        "UnknownKnot",
+    ),
+    "fuzz": ("FuzzConfig", "Report", "fuzz_suite"),
+    "ideles": (
+        "ClassGroupData",
+        "Divisor",
+        "Idele",
+        "delta_from_divisor",
+        "embed_local",
+        "global_pairing",
+        "idele_class_group",
+        "idele_coords",
+        "is_principal",
+        "principal_lattice_basis",
+        "rho_tilde",
+    ),
+    "linalg": (
+        "IntMatrix",
+        "SmithForm",
+        "determinant",
+        "hstack",
+        "integer_kernel",
+        "leading_block_inverse",
+        "preimage_lattice",
+        "smith_normal_form",
+        "solve_integer",
+        "solve_mod_subgroup",
+        "solve_rational",
+    ),
+    "local": (
+        "ComplementHomology",
+        "LongitudeData",
+        "PeripheralClass",
+        "complement_homology",
+        "local_intersection",
+        "preferred_longitude",
+        "valuation",
+    ),
+    "presentation": (
+        "AdmissibilityCertificate",
+        "Manifold",
+        "SurgeryPresentation",
+        "load_and_validate",
+        "presentation_from_dict",
+        "presentation_to_dict",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _HOME.keys())

@@ -6,6 +6,9 @@ status 2 and print {"error": <code>, "detail": <message>}; the fuzz
 subcommand exits 1 when a property violation was found. Rationals are
 serialized as strings "p/q" in lowest terms with positive denominator
 (plain "p" when integral) so no output ever passes through floats.
+
+Only what every subcommand needs is imported up front; each handler imports
+its own layer, so a call loads just the modules its subcommand runs.
 """
 
 from __future__ import annotations
@@ -13,19 +16,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .covers import CoverSpec, decomposition_data, global_symbol, hilbert_symbol, kummer_cover, local_symbol
 from .errors import BadInput, IdelinkError
-from .fuzz import FuzzConfig, fuzz_suite
-from .ideles import Divisor, Idele, delta_from_divisor, global_pairing, idele_class_group, is_principal, principal_lattice_basis, require_support
-from .local import complement_homology, preferred_longitude
 from .presentation import Manifold, load_and_validate, presentation_from_dict
 
 __all__ = ["run_command", "main"]
 
 
 def _fmt_rational(q) -> str:
+    from fractions import Fraction
+
     q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
@@ -45,6 +45,12 @@ def _load_manifold(path: str) -> Manifold:
     return load_and_validate(presentation_from_dict(data))
 
 
+def _load_complement(args):
+    from .local import complement_homology
+
+    return complement_homology(_load_manifold(args.presentation), _parse_link(args.link))
+
+
 def _parse_json(text: str, what: str):
     try:
         return json.loads(text)
@@ -61,7 +67,9 @@ def _parse_link(text: str | None) -> list[str] | None:
     return names
 
 
-def _parse_divisor(text: str) -> Divisor:
+def _parse_divisor(text: str):
+    from .ideles import Divisor
+
     parts: dict[str, int] = {}
     for item in text.split(","):
         item = item.strip()
@@ -80,6 +88,8 @@ def _parse_divisor(text: str) -> Divisor:
 
 
 def _cmd_info(args):
+    from .local import preferred_longitude
+
     man = _load_manifold(args.presentation)
     knots = {}
     for k in man.knot_names:
@@ -103,6 +113,8 @@ def _cmd_lk(args):
 
 
 def _cmd_longitude(args):
+    from .local import preferred_longitude
+
     man = _load_manifold(args.presentation)
     ld = preferred_longitude(man, args.knot)
     payload = {
@@ -115,8 +127,9 @@ def _cmd_longitude(args):
 
 
 def _cmd_class_group(args):
-    man = _load_manifold(args.presentation)
-    comp = complement_homology(man, _parse_link(args.link))
+    from .ideles import idele_class_group
+
+    comp = _load_complement(args)
     data = idele_class_group(comp)
     payload = {
         "link": list(data.link),
@@ -127,27 +140,32 @@ def _cmd_class_group(args):
 
 
 def _cmd_principal_basis(args):
-    man = _load_manifold(args.presentation)
-    comp = complement_homology(man, _parse_link(args.link))
+    from .ideles import principal_lattice_basis
+
+    comp = _load_complement(args)
     basis = principal_lattice_basis(comp)
     return {"link": list(comp.link), "basis": [b.to_dict() for b in basis]}, 0
 
 
 def _cmd_delta(args):
-    man = _load_manifold(args.presentation)
-    comp = complement_homology(man, _parse_link(args.link))
+    from .ideles import delta_from_divisor
+
+    comp = _load_complement(args)
     idele = delta_from_divisor(comp, _parse_divisor(args.divisor))
     return {"idele": idele.to_dict()}, 0
 
 
 def _cmd_is_principal(args):
-    man = _load_manifold(args.presentation)
-    comp = complement_homology(man, _parse_link(args.link))
+    from .ideles import Idele, is_principal
+
+    comp = _load_complement(args)
     a = Idele.from_dict(_parse_json(args.a, "--a"))
     return {"principal": is_principal(comp, a)}, 0
 
 
 def _cmd_pairing(args):
+    from .ideles import Idele, global_pairing, require_support
+
     man = _load_manifold(args.presentation)
     link = man.sublink(_parse_link(args.link))
     a = Idele.from_dict(_parse_json(args.a, "--a"))
@@ -157,12 +175,17 @@ def _cmd_pairing(args):
 
 
 def _cmd_cover(args):
+    from .covers import CoverSpec
+
     man = _load_manifold(args.presentation)
     cover = CoverSpec.from_dict(man, _parse_json(args.phi, "--phi"))
     return {"cover": cover.to_dict(), "surjective": cover.is_surjective()}, 0
 
 
 def _cmd_symbol(args):
+    from .covers import CoverSpec, global_symbol, local_symbol
+    from .ideles import Idele
+
     man = _load_manifold(args.presentation)
     cover = CoverSpec.from_dict(man, _parse_json(args.phi, "--phi"))
     a = Idele.from_dict(_parse_json(args.a, "--a"))
@@ -176,6 +199,8 @@ def _cmd_symbol(args):
 
 
 def _cmd_decomp(args):
+    from .covers import CoverSpec, decomposition_data
+
     man = _load_manifold(args.presentation)
     cover = CoverSpec.from_dict(man, _parse_json(args.phi, "--phi"))
     dd = decomposition_data(cover, args.knot)
@@ -189,13 +214,17 @@ def _cmd_decomp(args):
 
 
 def _cmd_kummer(args):
-    man = _load_manifold(args.presentation)
-    comp = complement_homology(man, _parse_link(args.link))
+    from .covers import kummer_cover
+
+    comp = _load_complement(args)
     kc = kummer_cover(comp, _parse_divisor(args.divisor), args.n)
     return {"cover": kc.cover.to_dict(), "branch_locus": list(kc.branch_locus)}, 0
 
 
 def _cmd_hilbert(args):
+    from .covers import hilbert_symbol
+    from .ideles import Idele, require_support
+
     man = _load_manifold(args.presentation)
     link = man.sublink(_parse_link(args.link))
     a = Idele.from_dict(_parse_json(args.a, "--a"))
@@ -207,6 +236,8 @@ def _cmd_hilbert(args):
 
 
 def _cmd_fuzz(args):
+    from .fuzz import FuzzConfig, fuzz_suite
+
     cfg = FuzzConfig(
         trials=args.trials,
         seed=args.seed,

@@ -35,7 +35,6 @@ groups without a modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -671,6 +670,8 @@ def solve_rational(a: IntMatrix, c) -> list[Fraction] | None:
     Returns None when the system is inconsistent; raises on underdetermined
     square systems only if inconsistent detection fails to apply.
     """
+    from fractions import Fraction
+
     m, n = a.rows, a.cols
     if len(c) != m:
         raise ValueError("right-hand side length disagrees with row count")

@@ -18,7 +18,6 @@ Conventions fixed here and used by every downstream module:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .abelian import FgAbelianGroup, GroupElement, element_order, subgroup_invariant_factors
 from .errors import (
@@ -58,6 +57,8 @@ class SurgeryPresentation:
         s, r = len(surgery_names), len(knot_names)
 
         def matrix(rows, nrows, ncols, what):
+            # entries before shape, so a row like "55" is refused as a non-integer
+            rows = [[json_int(v, f"{what} entry") for v in row] for row in rows]
             if len(rows) != nrows or any(len(row) != ncols for row in rows):
                 raise BadDimensions(f"{what} must be {nrows}x{ncols}")
             return IntMatrix.from_rows(rows) if nrows else IntMatrix(0, ncols, ())
@@ -88,14 +89,11 @@ def presentation_from_dict(data) -> SurgeryPresentation:
         surgery = data["surgery"]
         link = data["link"]
         names = [str(x) for x in surgery["components"]]
-        rows = [[json_int(v, "surgery matrix entry") for v in row] for row in surgery["matrix"]]
         knots = [str(x) for x in link["components"]]
-        lk_ws = [[json_int(v, "lk_with_surgery entry") for v in row] for row in link["lk_with_surgery"]]
-        lk_mut = [[json_int(v, "lk_mutual entry") for v in row] for row in link["lk_mutual"]]
+        return SurgeryPresentation.build(names, surgery["matrix"], knots, link["lk_with_surgery"], link["lk_mutual"])
     except (KeyError, TypeError) as exc:
+        # a missing key, or a matrix or row that is not a list
         raise BadInput(f"malformed presentation: {exc}") from exc
-    try:
-        return SurgeryPresentation.build(names, rows, knots, lk_ws, lk_mut)
     except ValueError as exc:
         raise BadDimensions(str(exc)) from exc
 
@@ -186,6 +184,8 @@ class Manifold:
 
     def linking_number(self, a: str, b: str) -> Fraction:
         """Exact rational linking number of two distinct marked knots in M."""
+        from fractions import Fraction
+
         if a == b:
             raise SelfLinking(f"linking number of {a!r} with itself is not defined")
         i, j = self.knot_index(a), self.knot_index(b)

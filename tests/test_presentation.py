@@ -18,7 +18,7 @@ from idelink.errors import (
     UnknownKnot,
 )
 from idelink import linalg
-from idelink.presentation import presentation_from_dict, presentation_to_dict
+from idelink.presentation import SurgeryPresentation, presentation_from_dict, presentation_to_dict
 
 from conftest import HOPF, LENS5, manifold
 
@@ -132,6 +132,22 @@ def test_matrix_entries_must_be_json_integers():
         data["link"][field] = [[False]]
         with pytest.raises(BadInput):
             presentation_from_dict(data)
+    # a row that is not a list is malformed input, and a string row is refused
+    # for its entries before its length is compared
+    for row, detail in ((5, "malformed presentation"), (None, "malformed presentation"), ("55", "surgery matrix entry")):
+        data = json.loads(json.dumps(LENS5))
+        data["surgery"]["matrix"] = [row]
+        with pytest.raises(BadInput, match=detail):
+            presentation_from_dict(data)
+
+
+@pytest.mark.parametrize("bad", [5.9, 5.0, True, "5"])
+def test_library_constructor_refuses_non_integer_entries(bad):
+    matrices = {"surgery matrix": [[5]], "lk_with_surgery": [[1]], "lk_mutual": [[0]]}
+    for what in matrices:
+        rows = {**matrices, what: [[bad]]}
+        with pytest.raises(BadInput, match=f"^{what} entry must be an integer"):
+            SurgeryPresentation.build(["L1"], rows["surgery matrix"], ["K1"], rows["lk_with_surgery"], rows["lk_mutual"])
 
 
 def test_round_trip():
