@@ -12,19 +12,18 @@ the surgery matrix, and every cover target), element orders and equality
 come from a fraction-free inverse of that block: the order of x is the
 least common denominator of the rational solution of relations @ t = x,
 and a square presentation has order |det|, the inverse's denominator.
+Other groups read the order of x off ``preimage_lattice``: the integers n
+with n * x in the relation span.
 
-A group whose leading generator_count x generator_count column block is
-nonsingular contains D * Z^g for D = |det| of that block, its ``modulus``:
-a fraction-free determinant, which needs no inverse, for a square
-presentation, and the parent's D for a ``quotient``, whose leading
-columns are the parent's relations. Invariant factors then come from a
-Hermite basis modulo D and the Smith diagonal of that triangular basis
-(``smith_diagonal_mod``), so no entry grows past D. Only groups without
-a modulus (a link complement, of free rank l, or a class lattice) take
-the full Smith form, which also serves their element tests. Everything
-is computed on first use and then cached, so a group built only to carry
-its relations (as most complements are) never pays for its Smith
-transforms.
+Every group's invariant factors come from one Hermite/Smith reduction
+modulo a maximal minor. One fraction-free elimination (``rank_and_minor``)
+gives the rank r of the relations and a nonzero r x r minor D, a multiple
+of every nonzero invariant factor, so the first r entries of
+``smith_diagonal_mod`` on the relations and D are those factors and no
+entry grows past D. A finite group (r = g) has ``modulus`` D, and its
+``quotient`` inherits it, as the parent's relations lead the quotient's.
+Everything is computed on first use and then cached, so a group built
+only to carry its relations (as most complements are) pays for nothing.
 """
 
 from __future__ import annotations
@@ -36,14 +35,12 @@ from math import gcd
 from .errors import BadDimensions, json_int
 from .linalg import (
     IntMatrix,
-    SmithForm,
     block_solve,
-    determinant,
     hstack,
     leading_block_inverse,
     preimage_lattice,
+    rank_and_minor,
     smith_diagonal_mod,
-    smith_normal_form,
 )
 
 __all__ = [
@@ -59,8 +56,7 @@ class FgAbelianGroup:
 
     invariant_factors lists the nontrivial torsion factors in divisibility
     order followed by one 0 per free factor; unit factors are dropped. It,
-    ``modulus``, ``smith_form`` and ``block_inverse`` are computed lazily,
-    once per group.
+    ``modulus`` and ``block_inverse`` are computed lazily, once per group.
     """
 
     def __init__(self, generator_count: int, relations: IntMatrix, labels=None):
@@ -75,37 +71,31 @@ class FgAbelianGroup:
         self.labels = tuple(labels) if labels is not None else None
 
     @cached_property
-    def smith_form(self) -> SmithForm:
-        """Smith form U @ relations @ V = D, computed on first use."""
-        return smith_normal_form(self.relations)
-
-    @cached_property
     def block_inverse(self) -> tuple[IntMatrix, int] | None:
         """``leading_block_inverse`` of the relations, computed on first use."""
         return leading_block_inverse(self.relations)
 
     @cached_property
-    def modulus(self) -> int | None:
-        """|det| of the leading generator_count-column block, or None without a nonsingular one.
+    def _rank_and_minor(self) -> tuple[int, int]:
+        """Rank r of the relations and |a nonzero r x r minor| (1 when r = 0)."""
+        rank, minor = rank_and_minor(self.relations)
+        return rank, abs(minor)
 
-        The relations then span a lattice holding modulus * Z^generator_count.
+    @cached_property
+    def modulus(self) -> int | None:
+        """A maximal minor D of the relations when the group is finite, else None.
+
+        The relations then span a lattice holding D * Z^generator_count.
         """
-        g, rel = self.generator_count, self.relations
-        if rel.cols < g:
-            return None
-        block = IntMatrix(g, g, tuple(x for i in range(g) for x in rel.row(i)[:g]))
-        return abs(determinant(block)) or None
+        rank, d = self._rank_and_minor
+        return d if rank == self.generator_count else None
 
     @cached_property
     def invariant_factors(self) -> tuple[int, ...]:
-        d = self.modulus
-        if d is not None:
-            rel = self.relations
-            nonzero = smith_diagonal_mod([rel.column(j) for j in range(rel.cols)], self.generator_count, d)
-        else:
-            nonzero = [x for x in self.smith_form.diagonal if x != 0]
-        torsion = tuple(x for x in nonzero if x != 1)
-        return torsion + (0,) * (self.generator_count - len(nonzero))
+        rank, d = self._rank_and_minor
+        rel = self.relations
+        nonzero = smith_diagonal_mod([rel.column(j) for j in range(rel.cols)], self.generator_count, d)[:rank]
+        return tuple(x for x in nonzero if x != 1) + (0,) * (self.generator_count - rank)
 
     def order(self) -> int | None:
         """Group order, or None when the group is infinite."""
@@ -138,8 +128,9 @@ class FgAbelianGroup:
         columns = [self.element(v).coords for v in generators]
         gens = IntMatrix.from_columns(columns, rows=self.generator_count)
         group = FgAbelianGroup(self.generator_count, hstack(self.relations, gens))
-        # this group's relations lead, so the leading block and its modulus are this group's
-        group.__dict__["modulus"] = self.modulus
+        if self.modulus is not None:
+            # this group's relations lead, so its full-rank minor is one of the quotient's
+            group.__dict__["_rank_and_minor"] = (self.generator_count, self.modulus)
         return group
 
     def is_zero_vector(self, coords) -> bool:
@@ -205,23 +196,14 @@ def element_order(e: GroupElement) -> int | None:
             return None
         den = inverse[1]
         return den // gcd(den, *t)
-    snf = group.smith_form
-    u = snf.u.mul_vector(e.coords)
-    diag = snf.diagonal
-    n = 1
-    for i, x in enumerate(u):
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            step = d // gcd(d, x)
-            n = n * step // gcd(n, step)
-        elif x:
-            return None
-    return n
+    # the integers n with n * e in the relation span: [[order]], or [] for infinite order
+    multiples = preimage_lattice(IntMatrix.from_columns([e.coords], rows=group.generator_count), group.relations)
+    return multiples[0][0] if multiples else None
 
 
 def subgroup_invariant_factors(group: FgAbelianGroup, vectors) -> tuple[int, ...]:
     """Invariant factors of the subgroup generated by the given coordinate vectors."""
-    vectors = [[json_int(x, "subgroup generator coordinate") for x in v] for v in vectors]
+    vectors = [group.element(v).coords for v in vectors]
     k = len(vectors)
     if k == 0:
         return ()

@@ -202,6 +202,7 @@ def kummer_cover(comp: ComplementHomology, divisor: Divisor, modulus: int) -> Ku
     values are -t_j on surgery meridians and the divisor coefficients on
     link meridians, where t is the 2-chain solution for the divisor.
     """
+    modulus = json_int(modulus, "modulus")
     if modulus < 2:
         raise BadModulus(f"modulus must be at least 2, got {modulus}")
     man = comp.manifold
@@ -220,6 +221,7 @@ def kummer_cover(comp: ComplementHomology, divisor: Divisor, modulus: int) -> Ku
 
 def hilbert_symbol(a: Idele, b: Idele, knot: str, modulus: int) -> int:
     """Local intersection of two idele components at one knot, mod modulus."""
+    modulus = json_int(modulus, "modulus")
     if modulus < 2:
         raise BadModulus(f"modulus must be at least 2, got {modulus}")
     return local_intersection(a.component(knot), b.component(knot)) % modulus

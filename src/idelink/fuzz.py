@@ -31,7 +31,7 @@ from .ideles import (
     is_principal,
     principal_lattice_basis,
 )
-from .linalg import IntMatrix, determinant
+from .linalg import IntMatrix, determinant, smith_normal_form
 from .local import PeripheralClass, complement_homology, local_intersection, preferred_longitude, valuation
 from .presentation import Manifold, SurgeryPresentation, load_and_validate, presentation_to_dict
 
@@ -174,7 +174,7 @@ def _random_divisor(link, rng: random.Random, bound: int) -> Divisor:
 def _sample_cover(comp, rng: random.Random):
     """Random finite abelian target with a uniformly sampled well-defined cover."""
     orders = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 2)))
-    snf = comp.group.smith_form
+    snf = smith_normal_form(comp.relations)
     g = comp.group.generator_count
     diag = snf.diagonal
     images = []

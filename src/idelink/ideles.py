@@ -56,6 +56,8 @@ class Idele:
         acc: dict[str, tuple[int, int]] = {}
         for name, pair in items:
             what = f"idele component at {name!r}"
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise BadInput(f"{what} must be a pair [meridian, longitude]")
             x, y = json_int(pair[0], what), json_int(pair[1], what)
             px, py = acc.get(name, (0, 0))
             acc[name] = (px + x, py + y)
@@ -101,12 +103,7 @@ class Idele:
     def from_dict(data) -> "Idele":
         if not isinstance(data, dict):
             raise BadInput("idele must be a JSON object mapping knots to [meridian, longitude]")
-        out = {}
-        for k, v in data.items():
-            if not isinstance(v, (list, tuple)) or len(v) != 2:
-                raise BadInput(f"idele component at {k!r} must be a pair [meridian, longitude]")
-            out[str(k)] = (v[0], v[1])
-        return Idele.of(out)
+        return Idele.of({str(k): v for k, v in data.items()})
 
 
 def embed_local(a: PeripheralClass) -> Idele:

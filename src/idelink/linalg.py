@@ -23,13 +23,16 @@ Element tests against a relation matrix whose leading square block is
 nonsingular (every surgery matrix is) go through ``leading_block_inverse``,
 a fraction-free inverse of that block whose entries are minors: the rational
 solution of ``a @ t = c`` is ``n @ c_top / den``, so ``solve_integer`` and
-element orders need no Smith form there.
+element orders need no lattice there.
 
-Invariant factors of a lattice that holds d * Z^n for a known d (the
-determinant of a nonsingular leading block) come from ``smith_diagonal_mod``:
-a Hermite basis modulo d, then a transform-free Smith diagonal of that
-triangular basis, every entry kept below d. The Smith form remains for
-groups without a modulus.
+Invariant factors never take the Smith form either. Any nonzero maximal
+minor D of a rank-r matrix (``rank_and_minor``) is a multiple of its
+nonzero invariant factors d_1 ... d_r, so the lattice of its columns plus
+D * Z^n has Smith diagonal (d_1, ..., d_r, D, ..., D). ``smith_diagonal_mod``
+computes that diagonal from a Hermite basis modulo D and a transform-free
+Smith reduction of that triangular basis, every entry kept below D
+(Domich-Kannan-Trotter; Hafner-McCurley). ``smith_normal_form`` remains for
+callers that read its transforms.
 """
 
 from __future__ import annotations
@@ -581,8 +584,8 @@ def solve_integer(a: IntMatrix, c) -> list[int] | None:
     """Some integer solution of a @ x = c, or None when none exists.
 
     When the leading ``a.cols x a.cols`` block is nonsingular the solution is
-    unique and comes from ``leading_block_inverse``; otherwise from the Smith
-    form of ``a``.
+    unique and comes from ``leading_block_inverse``; otherwise it is the
+    canonical solution of ``solve_mod_subgroup`` against the zero subgroup.
     """
     if len(c) != a.rows:
         raise ValueError("right-hand side length disagrees with row count")
@@ -593,19 +596,7 @@ def solve_integer(a: IntMatrix, c) -> list[int] | None:
         if t is None or any(x % den for x in t):
             return None
         return [x // den for x in t]
-    snf = smith_normal_form(a)
-    uc = snf.u.mul_vector(c)
-    diag = snf.diagonal
-    w = [0] * a.cols
-    for i in range(len(uc)):
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            if uc[i] % d:
-                return None
-            w[i] = uc[i] // d
-        elif uc[i]:
-            return None
-    return list(snf.v.mul_vector(w))
+    return solve_mod_subgroup(a, IntMatrix(a.rows, 0, ()), c)
 
 
 def solve_each_mod_subgroup(a: IntMatrix, b: IntMatrix, targets) -> list[list[int]] | None:
@@ -639,29 +630,43 @@ def solve_mod_subgroup(a: IntMatrix, b: IntMatrix, c) -> list[int] | None:
     return None if solved is None else solved[0]
 
 
+def rank_and_minor(a: IntMatrix) -> tuple[int, int]:
+    """Rank r of ``a`` and a nonzero r x r minor, by fraction-free (Bareiss) elimination.
+
+    Columns are taken left to right and a column with no pivot left is
+    skipped, so the minor sits on the first r independent columns; it is 1
+    when r = 0. Up to sign it is a minor of ``a``, and for a square
+    nonsingular ``a`` it is the determinant. Every intermediate entry is a
+    minor of ``a``, so nothing grows past the Hadamard bound.
+    """
+    m = a.to_rows()
+    sign, prev, r = 1, 1, 0
+    for c in range(a.cols):
+        if r == a.rows:
+            break
+        found = next((i for i in range(r, a.rows) if m[i][c]), None)
+        if found is None:
+            continue
+        if found != r:
+            m[r], m[found] = m[found], m[r]
+            sign = -sign
+        prow = m[r]
+        pv = prow[c]
+        for row in m[r + 1 :]:
+            f = row[c]
+            for j in range(c + 1, a.cols):
+                row[j] = (row[j] * pv - f * prow[j]) // prev
+        prev = pv
+        r += 1
+    return r, sign * prev
+
+
 def determinant(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: the full-rank minor of ``rank_and_minor``, else 0."""
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    rank, minor = rank_and_minor(a)
+    return minor if rank == a.rows else 0
 
 
 def solve_rational(a: IntMatrix, c) -> list[Fraction] | None:

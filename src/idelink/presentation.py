@@ -30,7 +30,7 @@ from .errors import (
     UnknownKnot,
     json_int,
 )
-from .linalg import IntMatrix, solve_each_mod_subgroup, solve_rational
+from .linalg import IntMatrix, smith_normal_form, solve_each_mod_subgroup, solve_rational
 
 __all__ = [
     "SurgeryPresentation",
@@ -220,20 +220,21 @@ class Manifold:
                 expressions=None,
                 subgroup_factors=subgroup_invariant_factors(self.h1, class_vectors),
             )
-        diag = self.h1.smith_form.diagonal
-        targets = [i for i, d in enumerate(diag) if d != 1]
+        rel = self.h1.relations
+        snf = smith_normal_form(rel)
+        # column i of U^-1 generates the i-th invariant factor, and U @ rel @ V = D
+        # makes it rel @ (column i of V) / d_i, so U is never inverted
+        gens = []
+        for i, d in enumerate(snf.diagonal):
+            if d != 1:
+                scaled = rel.mul_vector(snf.v.column(i))
+                if any(x % d for x in scaled):
+                    raise ArithmeticError("Smith transforms do not diagonalize the relations")
+                gens.append([x // d for x in scaled])
         expressions = []
-        if targets:
-            u = self.h1.smith_form.u
-            gens = []
-            for i in targets:
-                unit = [1 if t == i else 0 for t in range(s)]
-                gen = solve_rational(u, unit)
-                if gen is None or any(x.denominator != 1 for x in gen):
-                    raise ArithmeticError("Smith transform U is not unimodular")
-                gens.append([int(x) for x in gen])
+        if gens:
             gen_matrix = IntMatrix.from_columns(class_vectors, rows=s)
-            solved = solve_each_mod_subgroup(gen_matrix, self.h1.relations, gens)
+            solved = solve_each_mod_subgroup(gen_matrix, rel, gens)
             if solved is None:
                 raise ArithmeticError("knot classes generate H1(M) yet miss an invariant-factor generator")
             expressions = [{k: c for k, c in zip(link, coeffs) if c} for coeffs in solved]

@@ -26,6 +26,22 @@ LENS4_TWICE = {
 }
 
 
+def record_smith_forms(monkeypatch) -> list:
+    """Inputs of every smith_normal_form call, under each name the package binds it to."""
+    from idelink import fuzz, linalg, presentation
+
+    inputs = []
+    real = linalg.smith_normal_form
+
+    def recording(a):
+        inputs.append(a)
+        return real(a)
+
+    for module in (linalg, presentation, fuzz):
+        monkeypatch.setattr(module, "smith_normal_form", recording)
+    return inputs
+
+
 def manifold(data) -> Manifold:
     return load_and_validate(presentation_from_dict(data))
 

@@ -107,7 +107,7 @@ def test_element_order_frozen_examples_with_nonsingular_leading_block():
     assert element_order(tall.element([1, 1, 3])) == 6
     assert element_order(tall.element([1, 0, 0])) is None
     assert element_order(tall.element([2, 3, 7])) == 1
-    # a singular leading block leaves the Smith route: Z^2 / <(2, 0), (0, 0)>
+    # a singular leading block takes the lattice route: Z^2 / <(2, 0), (0, 0)>
     assert group(2, [[2, 0], [0, 0]]).block_inverse is None
     assert element_order(group(2, [[2, 0], [0, 0]]).element([1, 0])) == 2
 
@@ -126,19 +126,32 @@ def order_via_smith(g: FgAbelianGroup, coords) -> int | None:
     return n
 
 
-def test_element_order_matches_smith_route_on_nonsingular_leading_blocks():
+def test_element_order_matches_smith_route():
     rng = random.Random(4404)
-    seen = {"zero": 0, "finite": 0, "infinite": 0}
-    for t in range(1500):
-        cols = rng.randint(1, 5)
-        rows = cols if t % 2 else rng.randint(cols + 1, 7)  # square, then tall
+    seen = {"zero": 0, "finite": 0, "infinite": 0, "no inverse zero": 0, "no inverse finite": 0, "no inverse infinite": 0}
+    for t in range(3600):
         bound = rng.choice((1, 3, 50))
-        while True:
-            m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-            if determinant(IntMatrix.from_rows(m[:cols])):
-                break
+        if t % 4 == 3:  # square or wide with a singular leading block: no block inverse
+            rows = rng.randint(1, 5)
+            cols = rows + rng.randint(0, 3)
+            scale = rng.choice((1, 2, 6))  # torsion even where the relations span a full-rank lattice
+            m = [[scale * rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+            k = rng.randint(-2, 2) if rows > 1 else 0
+            for row in m:
+                row[rows - 1] = k * row[0]
+            if rng.random() < 0.6:  # a dependent generator row: free rank, so infinite orders
+                m[-1] = [2 * x for x in m[0]] if rows > 1 else [0] * cols
+            prefix = "no inverse "
+        else:
+            cols = rng.randint(1, 5)
+            rows = cols if t % 2 else rng.randint(cols + 1, 7)  # square, then tall
+            while True:
+                m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+                if determinant(IntMatrix.from_rows(m[:cols])):
+                    break
+            prefix = ""
         g = FgAbelianGroup(rows, IntMatrix.from_rows(m))
-        assert g.block_inverse is not None
+        assert (g.block_inverse is None) == bool(prefix)
         kind = t % 3
         if kind == 0:  # a random vector: finite order when square, else mostly infinite
             x = [rng.randint(-bound, bound) for _ in range(rows)]
@@ -151,7 +164,7 @@ def test_element_order_matches_smith_route_on_nonsingular_leading_blocks():
                 x = [v // d for v in x]
         got = element_order(g.element(x))
         assert got == order_via_smith(g, x), (m, x)
-        seen["infinite" if got is None else "zero" if got == 1 else "finite"] += 1
+        seen[prefix + ("infinite" if got is None else "zero" if got == 1 else "finite")] += 1
     assert min(seen.values()) > 100, seen
 
 
@@ -165,60 +178,87 @@ def test_subgroup_invariant_factors():
     assert subgroup_invariant_factors(z2z, [[1, 0]]) == (2,)
     assert subgroup_invariant_factors(z2z, [[0, 1]]) == (0,)
     assert subgroup_invariant_factors(z2z, [[1, 0], [0, 1]]) == (2, 0)
+    with pytest.raises(BadDimensions):
+        subgroup_invariant_factors(z2z, [[1, 0, 0]])
+    with pytest.raises(BadInput):
+        subgroup_invariant_factors(z2z, [[1.0, 0]])
+
+
+def nonzero_smith_diagonal(rel: IntMatrix) -> list[int]:
+    return [d for d in smith_normal_form(rel).diagonal if d]
 
 
 def factors_via_smith(g: FgAbelianGroup) -> tuple[int, ...]:
     """Oracle: the diagonal of the full Smith form, units dropped, one 0 per free factor."""
-    nonzero = [d for d in smith_normal_form(g.relations).diagonal if d]
+    nonzero = nonzero_smith_diagonal(g.relations)
     return tuple(d for d in nonzero if d != 1) + (0,) * (g.generator_count - len(nonzero))
 
 
 def test_invariant_factors_modulo_the_determinant_match_the_full_smith_form():
     rng = random.Random(6606)
-    seen = {"square": 0, "square quotient": 0, "cyclic": 0, "cyclic quotient": 0, "no modulus": 0}
-    for t in range(1200):
+    kinds = ("square", "cyclic", "singular leading block", "square singular or tall", "rank-deficient wide")
+    full_rank = kinds[:3]
+    seen = dict.fromkeys(kinds, 0)
+    for t in range(2000):
         gens = rng.randint(1, 6)
         bound = rng.choice((1, 5, 50))
-        kind = t % 3
-        if kind == 0:  # square nonsingular
+        name = kinds[t % 5]
+        if name == "square":
             while True:
                 m = [[rng.randint(-bound, bound) for _ in range(gens)] for _ in range(gens)]
                 if determinant(IntMatrix.from_rows(m)):
                     break
-            g = FgAbelianGroup(gens, IntMatrix.from_rows(m))
-            assert g.modulus == abs(determinant(g.relations))
-            name = "square"
-        elif kind == 1:  # a cover target diag(n_1, ..., n_t)
+        elif name == "cyclic":  # a cover target diag(n_1, ..., n_t)
             orders = [rng.randint(1, bound + 1) for _ in range(gens)]
-            g = FgAbelianGroup(gens, IntMatrix.from_rows([[n if i == j else 0 for j in range(gens)] for i, n in enumerate(orders)]))
-            assert g.modulus == math.prod(orders)
-            name = "cyclic"
-        else:  # square singular or tall: no modulus, the full Smith form
+            m = [[n if i == j else 0 for j in range(gens)] for i, n in enumerate(orders)]
+        elif name == "square singular or tall":  # rank below gens
             cols = rng.randint(0, gens - 1) if rng.random() < 0.5 or gens == 1 else gens
             m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(gens)]
             if cols == gens:
                 m[-1] = [2 * x for x in m[0]]
-            g = FgAbelianGroup(gens, IntMatrix.from_rows(m) if cols else IntMatrix(gens, 0, ()))
-            assert g.modulus is None
-            assert g.invariant_factors == factors_via_smith(g), m
-            seen["no modulus"] += 1
-            continue
-        assert g.invariant_factors == factors_via_smith(g), (name, g.relations)
+        elif name == "singular leading block":  # wide of full rank
+            cols = gens + rng.randint(1, 3)
+            while True:
+                m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(gens)]
+                for row in m:
+                    row[gens - 1] = 3 * row[0] if gens > 1 else 0
+                if len(nonzero_smith_diagonal(IntMatrix.from_rows(m))) == gens:
+                    break
+        else:  # wide with a dependent generator row
+            cols = gens + rng.randint(1, 3)
+            m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(gens)]
+            m[-1] = [-x for x in m[0]] if gens > 1 else [0] * len(m[0])
+        rel = IntMatrix.from_rows(m) if m and m[0] else IntMatrix(gens, 0, ())
+        g = FgAbelianGroup(gens, rel)
+        factors = factors_via_smith(g)
+        assert g.invariant_factors == factors, (name, m)
+        # finite exactly when the relations have full rank, and then a multiple of the order
+        finite = len(nonzero_smith_diagonal(rel)) == gens
+        assert (g.modulus is not None) == finite == (name in full_rank), (name, m)
+        if finite:
+            assert g.modulus % math.prod(factors) == 0
+        if name == "square":
+            assert g.modulus == abs(determinant(g.relations))
+        elif name == "cyclic":
+            assert g.modulus == math.prod(orders)
         seen[name] += 1
         vectors = [[rng.randint(-bound, bound) for _ in range(gens)] for _ in range(rng.randint(0, 4))]
         q = g.quotient(vectors)
-        # the quotient inherits the modulus its own leading block gives
-        assert q.modulus == g.modulus == FgAbelianGroup(gens, q.relations).modulus
+        if finite:  # the quotient inherits the parent's minor, its own first full-rank minor
+            assert q.modulus == g.modulus == FgAbelianGroup(gens, q.relations).modulus
         assert q.invariant_factors == factors_via_smith(q), (name, q.relations)
-        seen[name + " quotient"] += 1
     assert min(seen.values()) > 100, seen
 
 
-def test_modulus_needs_a_nonsingular_leading_column_block():
+def test_modulus_is_a_maximal_minor_exactly_when_finite():
     assert group(2, [[2, 0], [0, 3], [1, 1]]).modulus == 6
-    assert group(2, [[2, 4], [1, 2], [0, 5]]).modulus is None  # leading block singular
+    # the leading block is singular, the minor on columns 1 and 3 is not
+    assert group(2, [[2, 4], [1, 2], [0, 5]]).modulus == 10
     assert group(2, [[2, 4], [1, 2], [0, 5]]).invariant_factors == (5,)
+    assert group(2, [[2, 4], [1, 2]]).modulus is None
+    assert group(2, [[2, 4], [1, 2]]).invariant_factors == (0,)
     assert group(2, [[2, 0]]).modulus is None
+    assert group(2, []).modulus is None
     assert group(0, []).modulus == 1
     assert group(0, []).invariant_factors == ()
 

@@ -244,6 +244,9 @@ def test_kummer_cover_lens5(lens5):
     assert kc.branch_locus == ()
     with pytest.raises(BadModulus):
         kummer_cover(comp, Divisor.of({"K": 5}), 1)
+    for bad in (5.0, 2.5, True, "5"):
+        with pytest.raises(BadInput, match="modulus must be an integer"):
+            kummer_cover(comp, Divisor.of({"K": 5}), bad)
     from idelink.errors import DivisorNotPrincipal
 
     with pytest.raises(DivisorNotPrincipal):
@@ -286,3 +289,6 @@ def test_hilbert_symbol(hopf):
     assert (hilbert_symbol(a, b, "K1", 7) + hilbert_symbol(a, b, "K2", 7)) % 7 == 0
     with pytest.raises(BadModulus):
         hilbert_symbol(a, b, "K1", 0)
+    for bad in (3.0, 2.5, True, "3"):
+        with pytest.raises(BadInput, match="modulus must be an integer"):
+            hilbert_symbol(a, b, "K1", bad)

@@ -38,6 +38,10 @@ def test_idele_and_divisor_constructors_refuse_non_integers():
             Idele.of({"K1": pair})
     with pytest.raises(BadInput):
         Idele.of([("K1", (1, 2.5))])
+    # a component that is not a pair, checked with the message the JSON loader gives
+    for pair in ((1, 2, 3), (1,), 5, "12", None):
+        with pytest.raises(BadInput, match=r"idele component at 'K1' must be a pair \[meridian, longitude\]"):
+            Idele.of({"K1": pair})
     assert Divisor.of({"K1": 3}).to_dict() == {"K1": 3}
     for c in (1.5, 2.0, False, "2"):
         with pytest.raises(BadInput):

@@ -2,7 +2,7 @@
 
 The Smith form is cross-checked against the determinantal-divisor oracle
 (gcd of all k x k minors), the Bareiss determinant against cofactor
-expansion, solve_mod_subgroup against exhaustive search, the integer
+expansion, rank_and_minor against the Smith diagonal, solve_mod_subgroup against exhaustive search, the integer
 kernel against the Smith-transform route it replaced, preimage_lattice
 against a second Hermite pass over its sliced kernel, the solves that run
 on leading_block_inverse against the Smith-form solves they replaced, and
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import manifold
+from conftest import manifold, record_smith_forms
 from oracles import hermite_row_basis, lattice_reduce
 
 from idelink import (
@@ -31,7 +31,7 @@ from idelink import (
     kummer_cover,
     principal_lattice_basis,
 )
-from idelink import abelian, linalg
+from idelink import linalg
 from idelink.linalg import (
     IntMatrix,
     _hermite_basis_mod,
@@ -40,6 +40,7 @@ from idelink.linalg import (
     integer_kernel,
     leading_block_inverse,
     preimage_lattice,
+    rank_and_minor,
     smith_diagonal_mod,
     smith_normal_form,
     solve_each_mod_subgroup,
@@ -143,6 +144,32 @@ def test_determinant_edge_cases():
     assert determinant(IntMatrix.identity(3)) == 1
     with pytest.raises(ValueError):
         determinant(IntMatrix.zeros(2, 3))
+
+
+def test_rank_and_minor_bounds_the_smith_diagonal():
+    rng = random.Random(8808)
+    seen = {"full rank": 0, "rank deficient": 0, "zero": 0}
+    for t in range(900):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        bound = rng.choice((1, 5, 50)) if t % 9 else 0
+        m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        k = rng.randint(-3, 3)
+        if t % 3 == 1 and rows >= 2:  # a dependent row
+            m[-1] = [k * x for x in m[0]]
+        elif t % 3 == 2 and cols >= 2:  # a dependent column
+            for row in m:
+                row[-1] = k * row[0]
+        a = IntMatrix(rows, cols, tuple(x for row in m for x in row))
+        rank, minor = rank_and_minor(a)
+        nonzero = [d for d in smith_normal_form(a).diagonal if d]
+        assert rank == len(nonzero), m
+        assert minor != 0 and minor % math.prod(nonzero) == 0, m
+        if rank == 0:
+            assert minor == 1
+        if rows == cols:
+            assert determinant(a) == (minor if rank == rows else 0)
+        seen["zero" if rank == 0 else "full rank" if rank == min(rows, cols) else "rank deficient"] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_square_smith_diagonal_product_is_abs_det():
@@ -329,22 +356,16 @@ TWO_KNOTS = {
 
 
 def test_complement_queries_run_no_smith_form_on_the_complement(monkeypatch):
-    inputs = []
-    real = abelian.smith_normal_form
-
-    def counting(a):
-        inputs.append(a)
-        return real(a)
-
-    monkeypatch.setattr(abelian, "smith_normal_form", counting)
+    inputs = record_smith_forms(monkeypatch)
     comp = complement_homology(manifold(TWO_KNOTS))
     assert principal_lattice_basis(comp)
     kummer_cover(comp, Divisor.of({"K1": 2, "K2": 1}), 3)
     # the admissibility check inside kummer_cover reads H1 modulo |det Lambda|
     assert inputs == []
-    assert sum(a == comp.relations for a in inputs) == 0
+    # the complement has free rank 2 and its invariant factors come modulo |det Lambda| too
+    assert comp.group.modulus is None
     assert comp.group.invariant_factors == (0, 0)
-    assert sum(a == comp.relations for a in inputs) == 1
+    assert inputs == []
 
 
 def test_solve_integer_and_rational_agree():
@@ -357,6 +378,7 @@ def test_solve_integer_and_rational_agree():
         if x is not None:
             assert a.mul_vector(x) == tuple(target)
         else:
+            assert solve_via_smith(a, target) is None
             q = solve_rational(a, target)
             if q is not None:
                 # solvable over the rationals but not the integers
@@ -409,7 +431,7 @@ def test_leading_block_inverse_is_the_scaled_inverse():
 
 
 def solve_via_smith(a: IntMatrix, c) -> list[int] | None:
-    """Oracle: the Smith-form solve that solve_integer runs on singular leading blocks."""
+    """Oracle: a solve through the Smith transforms, U a V = D."""
     snf = smith_normal_form(a)
     uc = snf.u.mul_vector(c)
     diag = snf.diagonal
@@ -490,15 +512,7 @@ def test_solve_each_mod_subgroup_matches_smith_solve_reduced_against_the_lattice
 
 
 def test_element_queries_take_no_smith_form(monkeypatch):
-    inputs = []
-    real = linalg.smith_normal_form
-
-    def counting(a):
-        inputs.append(a)
-        return real(a)
-
-    monkeypatch.setattr(abelian, "smith_normal_form", counting)
-    monkeypatch.setattr(linalg, "smith_normal_form", counting)
+    inputs = record_smith_forms(monkeypatch)
     man = manifold(TWO_KNOTS)
     assert [man.knot_order(k) for k in man.knot_names] == [5, 5]
     comp = complement_homology(man, ["K1"])

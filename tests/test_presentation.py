@@ -1,6 +1,7 @@
 """Surgery presentations: validation, homology, linking numbers, admissibility."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from idelink.errors import (
 from idelink import linalg
 from idelink.presentation import SurgeryPresentation, presentation_from_dict, presentation_to_dict
 
-from conftest import HOPF, LENS5, manifold
+from conftest import HOPF, LENS5, manifold, random_manifold
 
 
 def test_lens5_homology(lens5):
@@ -253,6 +254,34 @@ def test_certificate_takes_one_lattice_for_all_invariant_factors(monkeypatch):
     # e1 = K1 + K2 + K3, e2 = K2 + K3 and e3 = 3 K3, since 2 e2 = 4 e3 = 0
     assert cert.expressions == ({"K1": 1, "K2": 1, "K3": 1}, {"K2": 1, "K3": 1}, {"K3": 3})
     assert len(lattices) == 1
+
+
+def expressions_via_rational_inverse(man, link):
+    """Oracle: invariant-factor generators solved from U x = e_i one Fraction solve at a time."""
+    snf = linalg.smith_normal_form(man.h1.relations)
+    s = len(man.surgery_names)
+    gens = []
+    for i, d in enumerate(snf.diagonal):
+        if d != 1:
+            gen = linalg.solve_rational(snf.u, [1 if t == i else 0 for t in range(s)])
+            assert all(x.denominator == 1 for x in gen)
+            gens.append([int(x) for x in gen])
+    if not gens:
+        return ()
+    classes = [man.knot_class(k).coords for k in link]
+    solved = linalg.solve_each_mod_subgroup(linalg.IntMatrix.from_columns(classes, rows=s), man.h1.relations, gens)
+    return tuple({k: c for k, c in zip(link, coeffs) if c} for coeffs in solved)
+
+
+def test_certificate_matches_rational_inverse_of_the_smith_transform():
+    rng = random.Random(2202)
+    checked = 0
+    while checked < 60:
+        man = random_manifold(rng, 6, 5, 5)
+        cert = man.is_admissible()
+        if cert:
+            assert cert.expressions == expressions_via_rational_inverse(man, man.knot_names)
+            checked += bool(cert.expressions)
 
 
 def test_generates_h1_matches_certificate():
