@@ -10,20 +10,23 @@ When the leading square block of the relations is nonsingular (H1 of a
 rational homology sphere, every link complement, whose leading block is
 the surgery matrix, and every cover target), element orders and equality
 come from a fraction-free inverse of that block: the order of x is the
-least common denominator of the rational solution of relations @ t = x,
-and a square presentation has order |det|, the inverse's denominator.
+least common denominator of the rational solution of relations @ t = x.
 Other groups read the order of x off ``preimage_lattice``: the integers n
 with n * x in the relation span.
 
 Every group's invariant factors come from one Hermite/Smith reduction
-modulo a maximal minor. One fraction-free elimination (``rank_and_minor``)
-gives the rank r of the relations and a nonzero r x r minor D, a multiple
-of every nonzero invariant factor, so the first r entries of
-``smith_diagonal_mod`` on the relations and D are those factors and no
-entry grows past D. A finite group (r = g) has ``modulus`` D, and its
-``quotient`` inherits it, as the parent's relations lead the quotient's.
-Everything is computed on first use and then cached, so a group built
-only to carry its relations (as most complements are) pays for nothing.
+modulo a maximal minor: ``rank_and_minor`` gives the rank r of the
+relations and a nonzero r x r minor D, a multiple of every nonzero
+invariant factor, so the first r entries of ``smith_diagonal_mod`` on the
+relations and D are those factors. A finite group (r = g) has ``modulus``
+D, which for a square presentation is its order.
+
+Both come from the one elimination in ``linalg``, and a group whose
+relations lead with ones already eliminated inherits that work: a finite
+group's ``quotient`` its rank and minor, a link complement (``local``)
+H1(M)'s ``block_inverse``, so each manifold inverts Lambda once. All is
+computed on first use and cached, so a group built only to carry its
+relations (as most complements are) pays for nothing.
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ class FgAbelianGroup:
         group = FgAbelianGroup(self.generator_count, hstack(self.relations, gens))
         if self.modulus is not None:
             # this group's relations lead, so its full-rank minor is one of the quotient's
-            group.__dict__["_rank_and_minor"] = (self.generator_count, self.modulus)
+            group._rank_and_minor = (self.generator_count, self.modulus)
         return group
 
     def is_zero_vector(self, coords) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .covers import decomposition_data, global_symbol, kummer_cover, local_symbol, make_cover
 from .errors import BadInput, DivisorNotPrincipal, IdelinkError
@@ -357,7 +357,8 @@ def check_trial(man: Manifold, rng: random.Random, cfg: FuzzConfig) -> list[tupl
     rec("longitude-kernel", ok_long, None)
 
     h1_order = man.h1.order()
-    ok_pres = h1_order == abs(determinant(man.surgery_matrix))
+    # |det Lambda| from the elimination against the Smith diagonal modulo it
+    ok_pres = h1_order == prod(man.h1.invariant_factors)
     if len(link) >= 2:
         j1 = rng.choice(link)
         k1 = rng.choice([k for k in link if k != j1])

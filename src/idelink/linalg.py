@@ -6,24 +6,25 @@ Matrices are immutable value objects and every function is pure and
 deterministic: the Smith form always reduces by the minimal-absolute-value
 pivot, and solution sets are canonicalized against Hermite bases.
 
-Integer kernels never go through the Smith form, whose transforms suffer
-coefficient growth. ``integer_kernel`` takes a fraction-free (Bareiss)
-nullspace, whose entries are minors of the input, then Hermite-reduces the
-lattice of integral free coordinates modulo the nullspace denominator
-(Domich-Kannan-Trotter), so no intermediate entry exceeds that denominator.
+One fraction-free (Bareiss) Gauss-Jordan elimination, ``_gauss_jordan``,
+owns the pivot rule, the growth bound (every entry is a minor of its input)
+and the exactness check. Its readers differ in the column order they pass,
+in whether the rows above each pivot are cleared, and in what they read:
+``rank_and_minor`` (and ``determinant``) reads the rank and a signed
+maximal minor, columns left to right, and reads no row, so it leaves the
+rows above alone; ``leading_block_inverse`` reads the inverse (n, den) of
+the leading square block off ``[top | I]``, which answers element tests
+against every surgery matrix; ``integer_kernel`` reads the rational
+kernel, columns right to left, so the free columns are the Hermite pivot
+columns of the kernel, and Hermite-reduces its integral lattice modulo the
+nullspace denominator (Domich-Kannan-Trotter). No kernel takes the Smith
+form, whose transforms suffer coefficient growth.
 
-Every lattice question of the form "which x satisfy a @ x in colspan(b)?"
-(principal ideles, subgroups generated by classes, preferred longitudes,
-solutions modulo a subgroup) goes through ``preimage_lattice``, the one
-lattice route: it slices the canonical kernel basis of ``[a | b]`` and
-needs no second Hermite pass. ``solve_mod_subgroup`` reads its canonical
-solution off the same lattice, with the target as one more column.
-
-Element tests against a relation matrix whose leading square block is
-nonsingular (every surgery matrix is) go through ``leading_block_inverse``,
-a fraction-free inverse of that block whose entries are minors: the rational
-solution of ``a @ t = c`` is ``n @ c_top / den``, so ``solve_integer`` and
-element orders need no lattice there.
+Every lattice question "which x satisfy a @ x in colspan(b)?" (principal
+ideles, subgroups generated by classes, solutions modulo a subgroup) goes
+through ``preimage_lattice``, which slices the canonical kernel basis of
+``[a | b]``. ``solve_mod_subgroup`` reads its canonical solution off the
+same lattice, and ``solve_integer`` is that solution modulo zero.
 
 Invariant factors never take the Smith form either. Any nonzero maximal
 minor D of a rank-r matrix (``rank_and_minor``) is a multiple of its
@@ -39,6 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+
+from .errors import json_int
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -70,13 +73,14 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: list) -> "IntMatrix":
+        """Matrix of the given rows; a float, bool or string entry raises ``BadInput``."""
         m = len(rows)
         n = len(rows[0]) if m else 0
         flat: list[int] = []
         for r in rows:
             if len(r) != n:
                 raise ValueError("ragged rows")
-            flat.extend(int(x) for x in r)
+            flat.extend(json_int(x, "matrix entry") for x in r)
         return IntMatrix(m, n, tuple(flat))
 
     @staticmethod
@@ -139,9 +143,7 @@ class IntMatrix:
         return tuple(sum(x * y for x, y in zip(self.row(i), vec)) for i in range(self.rows))
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i)
-        )
+        return self.rows == self.cols and self.entries == self.transpose().entries
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows)) + "]"
@@ -150,10 +152,7 @@ class IntMatrix:
 def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
         raise ValueError("row counts disagree")
-    rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-    if not rows:
-        return IntMatrix(0, a.cols + b.cols, ())
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(a.rows, a.cols + b.cols, tuple(x for i in range(a.rows) for x in a.row(i) + b.row(i)))
 
 
 @dataclass(frozen=True)
@@ -306,42 +305,72 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     )
 
 
-def _fraction_free_nullspace(a: IntMatrix) -> tuple[list[int], list[int], list[list[int]], int]:
-    """Rational kernel of ``a`` by fraction-free (Bareiss) Gauss-Jordan elimination.
+def _gauss_jordan(work: list[list[int]], order, reduced: bool) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss 1968) Gauss-Jordan elimination of the rows ``work``, in place.
 
-    Pivot columns are chosen right to left, so a column is free exactly when
-    some kernel vector has its first nonzero coordinate there. Returns
-    ``(free, pivots, m, den)``: the free and pivot columns in ascending
-    order, and an integer matrix ``m`` (one row per free column) with
-    ``den >= 1`` such that ``x`` lies in the rational kernel if and only if
-    ``x[pivots] = x[free] @ m / den``. Every intermediate entry is a minor of
-    ``a``, so nothing grows past the Hadamard bound.
+    Columns are visited in ``order``. Each takes as pivot the first row at or
+    below the next pivot row that is nonzero there, swapped into place, or is
+    skipped when there is none; a pivot clears its column in the rows below
+    it, and in those above it too when ``reduced``, and that column is then
+    deleted, as no reader needs it again. Returns ``(pivots, den, sign)``:
+    the pivot columns as found (pivot i in row i), the last pivot (1 if none)
+    and the sign of the row permutation; den is, up to sign, the minor on the
+    pivot rows and columns, and ``sign * den`` the determinant of a square
+    nonsingular input. Every entry is, up to sign, a minor of the input, and
+    every division is checked exact.
     """
-    work = a.to_rows()
-    den = 1
-    pivot_row: dict[int, int] = {}
-    for c in range(a.cols - 1, -1, -1):
-        r = len(pivot_row)
+    live = list(range(len(work[0]))) if work else []
+    # total: the sum of the entries the next step may read; a step's floor
+    # remainders share the sign of den, so they all vanish iff their sum does
+    total = sum(map(sum, work))
+    pivots: list[int] = []
+    den = sign = 1
+    for c in order:
+        r = len(pivots)
         if r == len(work):
             break
-        found = next((i for i in range(r, len(work)) if work[i][c]), None)
+        j = live.index(c)
+        found = next((i for i in range(r, len(work)) if work[i][j]), None)
         if found is None:
             continue
-        work[r], work[found] = work[found], work[r]
+        if found != r:
+            work[r], work[found] = work[found], work[r]
+            sign = -sign
+        del live[j]
         prow = work[r]
-        pv = prow[c]
-        for i, row in enumerate(work):
-            if i != r:
-                f = row[c]
-                work[i] = [(pv * x - f * y) // den for x, y in zip(row, prow)]
+        pv = prow.pop(j)
+        rows = work[:r] + work[r + 1 :] if reduced else work[r + 1 :]
+        column = [row.pop(j) for row in rows]
+        fsum, psum = sum(column), sum(prow)
+        for row, f in zip(rows, column):
+            for t in range(len(row)):
+                row[t] = (pv * row[t] - f * prow[t]) // den
+        after = sum(map(sum, rows))
+        if den * after != pv * (total - pv - fsum - psum) - fsum * psum:
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        total = after + psum if reduced else after
         den = pv
-        pivot_row[c] = r
-    pivots = sorted(pivot_row)
-    free = [c for c in range(a.cols) if c not in pivot_row]
-    # every pivot entry now equals den: den * x_p + sum_f work[row(p)][f] * x_f = 0
+        pivots.append(c)
+    return pivots, den, sign
+
+
+def _fraction_free_nullspace(a: IntMatrix) -> tuple[list[int], list[int], list[list[int]], int]:
+    """Rational kernel of ``a`` by ``_gauss_jordan``, pivot columns chosen right to left.
+
+    A column is then free exactly when some kernel vector has its first
+    nonzero coordinate there. Returns ``(free, pivots, m, den)``: the free
+    and pivot columns in ascending order, and an integer matrix ``m`` (one
+    row per free column) with ``den >= 1`` such that ``x`` lies in the
+    rational kernel if and only if ``x[pivots] = x[free] @ m / den``.
+    """
+    work = a.to_rows()
+    found, den, _ = _gauss_jordan(work, range(a.cols - 1, -1, -1), True)
+    # row i reads den * x[found[i]] + sum_t work[i][t] * x[free[t]] = 0
+    rows = sorted(range(len(found)), key=found.__getitem__)
+    free = [c for c in range(a.cols) if c not in found]
     sign = -1 if den > 0 else 1
-    m = [[sign * work[pivot_row[p]][f] for p in pivots] for f in free]
-    return free, pivots, m, abs(den)
+    m = [[sign * work[i][t] for i in rows] for t in range(len(free))]
+    return free, sorted(found), m, abs(den)
 
 
 def _hermite_basis_mod(rows: list, width: int, d: int) -> list[list[int]]:
@@ -528,40 +557,19 @@ def leading_block_inverse(a: IntMatrix) -> tuple[IntMatrix, int] | None:
     """Fraction-free inverse ``(n, den)`` of the leading ``a.cols x a.cols`` block.
 
     With ``top`` that block, ``top @ n = den * I`` and ``den = |det top| >= 1``.
-    A fraction-free (Bareiss) Gauss-Jordan elimination on ``[top | I]``
-    keeps every intermediate entry a minor of that matrix, so nothing grows
-    past the Hadamard bound; each division is checked exact. Returns None
-    when ``a`` has fewer rows than columns or the block is singular.
+    ``_gauss_jordan`` on ``[top | I]`` turns the left block into den * I and
+    deletes it, leaving den * top^-1. Returns None when ``a`` has fewer rows
+    than columns or the block is singular.
     """
     k = a.cols
     if a.rows < k:
         return None
     work = [list(a.row(i)) + [1 if j == i else 0 for j in range(k)] for i in range(k)]
-    den = 1
-    # step c updates only the columns after c: the left block's columns up to c
-    # are never read again, and would end as den * I
-    for c in range(k):
-        found = next((i for i in range(c, k) if work[i][c]), None)
-        if found is None:
-            return None
-        work[c], work[found] = work[found], work[c]
-        prow = work[c]
-        pv = prow[c]
-        tail = prow[c + 1 :]
-        for i, row in enumerate(work):
-            if i != c:
-                f = row[c]
-                new = []
-                for x, y in zip(row[c + 1 :], tail):
-                    q, rem = divmod(pv * x - f * y, den)
-                    if rem:
-                        raise ArithmeticError("inexact division in fraction-free elimination")
-                    new.append(q)
-                row[c + 1 :] = new
-        den = pv
-    # with the left block at den * I, the right block is den * top^-1
+    pivots, den, _ = _gauss_jordan(work, range(k), True)
+    if len(pivots) < k:
+        return None
     sign = -1 if den < 0 else 1
-    n = IntMatrix(k, k, tuple(sign * x for row in work for x in row[k:]))
+    n = IntMatrix(k, k, tuple(sign * x for row in work for x in row))
     return n, sign * den
 
 
@@ -583,19 +591,11 @@ def block_solve(a: IntMatrix, inverse: tuple[IntMatrix, int], c) -> tuple[int, .
 def solve_integer(a: IntMatrix, c) -> list[int] | None:
     """Some integer solution of a @ x = c, or None when none exists.
 
-    When the leading ``a.cols x a.cols`` block is nonsingular the solution is
-    unique and comes from ``leading_block_inverse``; otherwise it is the
-    canonical solution of ``solve_mod_subgroup`` against the zero subgroup.
+    It is the canonical solution of ``solve_mod_subgroup`` against the zero
+    subgroup, so equal inputs give identical output.
     """
     if len(c) != a.rows:
         raise ValueError("right-hand side length disagrees with row count")
-    inverse = leading_block_inverse(a)
-    if inverse is not None:
-        t = block_solve(a, inverse, c)
-        den = inverse[1]
-        if t is None or any(x % den for x in t):
-            return None
-        return [x // den for x in t]
     return solve_mod_subgroup(a, IntMatrix(a.rows, 0, ()), c)
 
 
@@ -631,34 +631,16 @@ def solve_mod_subgroup(a: IntMatrix, b: IntMatrix, c) -> list[int] | None:
 
 
 def rank_and_minor(a: IntMatrix) -> tuple[int, int]:
-    """Rank r of ``a`` and a nonzero r x r minor, by fraction-free (Bareiss) elimination.
+    """Rank r of ``a`` and a nonzero r x r minor, by ``_gauss_jordan`` without reduction.
 
-    Columns are taken left to right and a column with no pivot left is
-    skipped, so the minor sits on the first r independent columns; it is 1
-    when r = 0. Up to sign it is a minor of ``a``, and for a square
-    nonsingular ``a`` it is the determinant. Every intermediate entry is a
-    minor of ``a``, so nothing grows past the Hadamard bound.
+    Only the pivots are read, so no pivot clears the rows above it: that
+    would double the cost of every manifold load. Columns are taken left to
+    right and a column with no pivot left is skipped, so the minor sits on
+    the first r independent columns; it is 1 when r = 0. Up to sign it is a
+    minor of ``a``, and for a square nonsingular ``a`` the determinant.
     """
-    m = a.to_rows()
-    sign, prev, r = 1, 1, 0
-    for c in range(a.cols):
-        if r == a.rows:
-            break
-        found = next((i for i in range(r, a.rows) if m[i][c]), None)
-        if found is None:
-            continue
-        if found != r:
-            m[r], m[found] = m[found], m[r]
-            sign = -sign
-        prow = m[r]
-        pv = prow[c]
-        for row in m[r + 1 :]:
-            f = row[c]
-            for j in range(c + 1, a.cols):
-                row[j] = (row[j] * pv - f * prow[j]) // prev
-        prev = pv
-        r += 1
-    return r, sign * prev
+    pivots, den, sign = _gauss_jordan(a.to_rows(), range(a.cols), False)
+    return len(pivots), sign * den
 
 
 def determinant(a: IntMatrix) -> int:

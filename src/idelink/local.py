@@ -105,6 +105,18 @@ class LongitudeData:
     is_basis: bool
 
 
+class _ComplementGroup(FgAbelianGroup):
+    """H1(M - L): its relations lead with Lambda, so it reads H1(M)'s inverse on first use."""
+
+    def __init__(self, h1: FgAbelianGroup, relations: IntMatrix, labels):
+        super().__init__(relations.rows, relations, labels=labels)
+        self._h1 = h1
+
+    @property
+    def block_inverse(self) -> tuple[IntMatrix, int] | None:
+        return self._h1.block_inverse
+
+
 class ComplementHomology:
     """H1 of the complement of a sublink, with its peripheral table."""
 
@@ -123,7 +135,7 @@ class ComplementHomology:
             rel_cols.append(col)
         relations = IntMatrix.from_columns(rel_cols, rows=s + l)
         labels = tuple(manifold.surgery_names) + tuple(link)
-        self.group = FgAbelianGroup(s + l, relations, labels=labels)
+        self.group = _ComplementGroup(manifold.h1, relations, labels)
         self._mu_pos = {k: s + a for a, k in enumerate(link)}
         self._l0: dict[str, tuple[int, ...]] = {}
         for a, k in enumerate(link):

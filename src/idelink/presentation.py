@@ -61,7 +61,7 @@ class SurgeryPresentation:
             rows = [[json_int(v, f"{what} entry") for v in row] for row in rows]
             if len(rows) != nrows or any(len(row) != ncols for row in rows):
                 raise BadDimensions(f"{what} must be {nrows}x{ncols}")
-            return IntMatrix.from_rows(rows) if nrows else IntMatrix(0, ncols, ())
+            return IntMatrix(nrows, ncols, tuple(v for row in rows for v in row))
 
         return SurgeryPresentation(
             surgery_names=tuple(surgery_names),

@@ -98,3 +98,29 @@ def test_check_trial_statuses_cover_every_property():
     assert statuses["pairing-reciprocity"] == "pass"
     assert statuses["bounding-linking"] == "skip"  # surgery present
     assert statuses["slide-invariance"] == "pass"
+
+
+def test_linking_symmetry_checks_the_order_against_the_smith_diagonal(monkeypatch):
+    # a doubled maximal minor doubles |H1| and, before, |det Lambda| alike; the
+    # product of the invariant factors modulo that minor still reads |H1|
+    from idelink import abelian, linalg
+
+    real = linalg.rank_and_minor
+
+    def doubled(a):
+        rank, minor = real(a)
+        return rank, 2 * minor
+
+    for module in (abelian, linalg):
+        monkeypatch.setattr(module, "rank_and_minor", doubled)
+    man = load_and_validate(
+        presentation_from_dict(
+            {
+                "surgery": {"components": ["L1"], "matrix": [[5]]},
+                "link": {"components": ["K"], "lk_with_surgery": [[1]], "lk_mutual": [[0]]},
+            }
+        )
+    )
+    assert man.h1.order() == 10 and man.h1.invariant_factors == (5,)
+    results = check_trial(man, random.Random(0), FuzzConfig(trials=1, seed=0))
+    assert {name: status for name, status, _ in results}["linking-symmetry"] == "fail"

@@ -254,3 +254,32 @@ def test_linking_corollary_in_the_three_sphere():
     probe = embed_local(PeripheralClass("C", 0, 1))
     expected = 3 * (-1) + (-2) * 4
     assert global_pairing(probe, bounding) == expected
+
+
+def test_is_principal_reads_the_manifold_inverse(monkeypatch):
+    from idelink import abelian, linalg
+
+    rng = random.Random(5150)
+    while True:
+        man = random_manifold(rng, 6, 4, 5)
+        if len(man.surgery_names) >= 3 and len(man.knot_names) >= 3:
+            break
+    calls = {"inverse": 0}
+    real_inverse = linalg.leading_block_inverse
+
+    def inverse(a):
+        calls["inverse"] += 1
+        return real_inverse(a)
+
+    for module in (abelian, linalg):
+        monkeypatch.setattr(module, "leading_block_inverse", inverse)
+    knots = man.knot_names
+    man.knot_order(knots[0])
+    assert calls["inverse"] == 1
+    for link in (knots[:1], knots[1:], knots):
+        comp = complement_homology(man, link)
+        k = link[0]
+        a = delta_from_divisor(comp, Divisor.of({k: man.knot_order(k)}))
+        assert is_principal(comp, a)
+        assert not is_principal(comp, a + Idele.of({k: (1, 0)}))  # a meridian has infinite order
+    assert calls["inverse"] == 1

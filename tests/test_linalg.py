@@ -32,6 +32,8 @@ from idelink import (
     principal_lattice_basis,
 )
 from idelink import linalg
+from idelink.abelian import FgAbelianGroup
+from idelink.errors import BadInput
 from idelink.linalg import (
     IntMatrix,
     _hermite_basis_mod,
@@ -583,3 +585,18 @@ def test_hstack_shapes():
     assert (c.rows, c.cols) == (2, 5)
     with pytest.raises(ValueError):
         hstack(a, IntMatrix.zeros(3, 1))
+
+
+def test_from_rows_refuses_non_integer_entries():
+    for rows in ([[5.9, 2]], [[True, 2]], [["7", 2]], [[1, 2], [3, 4.0]]):
+        with pytest.raises(BadInput):
+            IntMatrix.from_rows(rows)
+        with pytest.raises(BadInput):
+            IntMatrix.from_columns(rows)
+    with pytest.raises(BadInput):
+        FgAbelianGroup(1, IntMatrix.from_rows([[4.7]]))
+    assert IntMatrix.from_rows([[5, -1], [7, 2]]).entries == (5, -1, 7, 2)
+    assert hstack(IntMatrix.from_rows([[1], [2]]), IntMatrix.from_rows([[3, 4], [5, 6]])) == IntMatrix.from_rows(
+        [[1, 3, 4], [2, 5, 6]]
+    )
+    assert hstack(IntMatrix.zeros(0, 2), IntMatrix.zeros(0, 3)) == IntMatrix(0, 5, ())

@@ -152,3 +152,16 @@ def test_closed_form_longitude_matches_the_peripheral_kernel():
 def test_longitude_of_an_undeclared_knot_is_refused(lens5):
     with pytest.raises(UnknownKnot):
         preferred_longitude(lens5, "missing")
+
+
+def test_complement_group_shares_the_inverse_of_lambda():
+    rng = random.Random(4411)
+    seen_empty_surgery = False
+    for _ in range(40):
+        man = random_manifold(rng, 5, 4, 5)
+        seen_empty_surgery |= not man.surgery_names
+        knots = list(man.knot_names)
+        for link in (None, knots[:1], knots[-2:], rng.sample(knots, rng.randint(1, len(knots)))):
+            comp = complement_homology(man, link)
+            assert comp.group.block_inverse is man.h1.block_inverse
+    assert seen_empty_surgery
