@@ -9,6 +9,9 @@ serialized as strings "p/q" in lowest terms with positive denominator
 
 Only what every subcommand needs is imported up front; each handler imports
 its own layer, so a call loads just the modules its subcommand runs.
+
+``run_command(argv)`` may be called repeatedly in one process: the argparse
+tree is built once, on the first call, and every later call parses with it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .errors import BadInput, IdelinkError
 from .presentation import Manifold, load_and_validate, presentation_from_dict
@@ -95,7 +99,7 @@ def _cmd_info(args):
     for k in man.knot_names:
         ld = preferred_longitude(man, k)
         knots[k] = {
-            "order": man.knot_order(k),
+            "order": ld.index,
             "lambda": [ld.lambda_class.meridian, ld.lambda_class.longitude],
             "basis": ld.is_basis,
         }
@@ -267,7 +271,9 @@ def _add_common(sub, name, handler, help_text, *, link_flag=False):
     return p
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; a parse keeps no state in the tree
     parser = _Parser(
         prog="idelink",
         description="Exact idelic class field theory for surgery presentations.",

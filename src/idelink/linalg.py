@@ -59,7 +59,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, row-major storage; dimensions may be zero."""
+    """Immutable integer matrix, row-major storage; dimensions may be zero.
+
+    A float, bool or string entry raises ``BadInput``, whichever constructor
+    built the matrix.
+    """
 
     rows: int
     cols: int
@@ -70,6 +74,9 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
+        for x in self.entries:
+            if x.__class__ is not int:
+                json_int(x, "matrix entry")
 
     @staticmethod
     def from_rows(rows: list) -> "IntMatrix":
@@ -80,7 +87,7 @@ class IntMatrix:
         for r in rows:
             if len(r) != n:
                 raise ValueError("ragged rows")
-            flat.extend(json_int(x, "matrix entry") for x in r)
+            flat.extend(r)
         return IntMatrix(m, n, tuple(flat))
 
     @staticmethod

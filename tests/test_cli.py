@@ -1,13 +1,16 @@
-"""Command-line surface: golden outputs, error codes, determinism."""
+"""Command-line surface: golden outputs, error codes, determinism, parser reuse."""
 
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from idelink import abelian, linalg
+import idelink
+from idelink import abelian, cli, linalg
 from idelink.cli import run_command
 from idelink.presentation import presentation_to_dict
 
@@ -282,3 +285,68 @@ def test_fuzz_stdout_is_byte_identical_across_processes():
     assert r1.stdout.startswith(b'{"config"')
     # diagnostics go to stderr, never stdout
     assert b"trials in" in r1.stderr
+
+
+def fresh_stdout(*argv) -> str:
+    """Stdout of ``python -m idelink.cli *argv`` in a new interpreter."""
+    env = dict(os.environ)
+    src = str(Path(idelink.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "idelink.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    return done.stdout
+
+
+def test_one_parser_tree_serves_every_call(capsys, monkeypatch, hopf_path, lens5_path):
+    progs = []
+    real_init = cli._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    cli._build_parser.cache_clear()
+    ideles = ["--a", '{"K1":[0,1],"K2":[-1,0]}', "--b", '{"K1":[-1,0],"K2":[0,1]}']
+    phi = ["--phi", '{"branch_link":["K1","K2"],"target":[2],"phi":[[1],[0]]}']
+    calls = [
+        ["info", lens5_path],
+        ["lk", hopf_path, "K1", "K2"],
+        ["longitude", lens5_path, "K"],
+        ["class-group", hopf_path],
+        ["principal-basis", hopf_path],
+        ["delta", hopf_path, "--divisor", "K1=1"],
+        ["is-principal", hopf_path, "--a", '{"K1":[1,0]}'],
+        ["pairing", hopf_path, *ideles],
+        ["cover", hopf_path, *phi],
+        ["symbol", hopf_path, *phi, "--a", '{"K1":[1,0]}'],
+        ["decomp", hopf_path, "K1", *phi],
+        ["kummer", hopf_path, "--divisor", "K1=1", "--n", "2"],
+        ["hilbert", hopf_path, "K1", *ideles, "--n", "3"],
+    ]
+    for argv in calls:
+        assert run_command(argv) == 0, capsys.readouterr().out
+    capsys.readouterr()
+    # one root parser and one subparser per subcommand, each built once
+    assert progs.count("idelink") == 1
+    assert len(progs) == len(set(progs))
+    assert {f"idelink {argv[0]}" for argv in calls} <= set(progs)
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys, hopf_path):
+    calls = [
+        ["class-group", hopf_path, "--link", "K1"],
+        ["kummer", hopf_path, "--divisor", "K1=1"],  # argparse refuses: --n is required
+        ["bogus-command", hopf_path],
+        ["class-group", hopf_path],
+    ]
+    outs = []
+    for argv in calls:
+        run_command(argv)
+        outs.append(capsys.readouterr().out)
+    assert json.loads(outs[0])["link"] == ["K1"]
+    assert json.loads(outs[1]) == {"error": "bad_input", "detail": "the following arguments are required: --n"}
+    assert json.loads(outs[2])["error"] == "bad_input"
+    assert json.loads(outs[3])["link"] == ["K1", "K2"]  # the earlier --link did not stick
+    assert outs == [fresh_stdout(*argv) for argv in calls]
