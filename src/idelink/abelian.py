@@ -62,16 +62,13 @@ class FgAbelianGroup:
     ``modulus`` and ``block_inverse`` are computed lazily, once per group.
     """
 
-    def __init__(self, generator_count: int, relations: IntMatrix, labels=None):
+    def __init__(self, generator_count: int, relations: IntMatrix):
         if relations.rows != generator_count:
             raise BadDimensions(
                 f"relation matrix has {relations.rows} rows for {generator_count} generators"
             )
-        if labels is not None and len(labels) != generator_count:
-            raise BadDimensions("one label per generator required")
         self.generator_count = generator_count
         self.relations = relations
-        self.labels = tuple(labels) if labels is not None else None
 
     @cached_property
     def block_inverse(self) -> tuple[IntMatrix, int] | None:

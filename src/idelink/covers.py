@@ -30,6 +30,7 @@ from .errors import (
     KnotOutsideLink,
     NotAdmissible,
     json_int,
+    json_names,
 )
 from .linalg import IntMatrix
 from .local import ComplementHomology, PeripheralClass, complement_homology, local_intersection
@@ -117,7 +118,7 @@ class CoverSpec:
         if not isinstance(data, dict):
             raise BadInput("cover must be a JSON object")
         try:
-            link = [str(k) for k in data["branch_link"]]
+            link = json_names(data["branch_link"], "branch_link")
             orders = [json_int(n, "cyclic order") for n in data["target"]]
             values = [[json_int(x, "cover value") for x in row] for row in data["phi"]]
         except (KeyError, TypeError) as exc:

@@ -102,3 +102,10 @@ def json_int(value, what: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise BadInput(f"{what} must be an integer, got {value!r}")
+
+
+def json_names(value, what: str) -> list[str]:
+    """``value`` itself when it is a list of strings, else BadInput."""
+    if isinstance(value, list) and all(isinstance(x, str) for x in value):
+        return value
+    raise BadInput(f"{what} must be a list of strings, got {value!r}")

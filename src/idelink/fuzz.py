@@ -388,14 +388,14 @@ def _slide(man: Manifold, knot: str, j: int) -> Manifold:
     pres = man.presentation
     i = man.knot_index(knot)
     lk_ws = pres.lk_with_surgery.to_rows()
-    s = len(man.surgery_names)
-    for col in range(s):
-        lk_ws[i][col] += pres.surgery_matrix[j, col]
+    lk_ws[i] = [a + b for a, b in zip(lk_ws[i], pres.surgery_matrix.row(j))]
+    # every other knot gains its linking with L_j; the knot's own entry stays 0
+    gain = list(pres.lk_with_surgery.column(j))
+    gain[i] = 0
     lk_mut = pres.lk_mutual.to_rows()
-    for other in range(len(man.knot_names)):
-        if other != i:
-            lk_mut[i][other] += pres.lk_with_surgery[other, j]
-            lk_mut[other][i] = lk_mut[i][other]
+    lk_mut[i] = [a + b for a, b in zip(lk_mut[i], gain)]
+    for row, g in zip(lk_mut, gain):
+        row[i] += g
     return load_and_validate(
         SurgeryPresentation.build(
             list(pres.surgery_names),

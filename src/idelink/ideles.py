@@ -29,6 +29,7 @@ __all__ = [
     "ClassGroupData",
     "embed_local",
     "require_support",
+    "idele_coords",
     "rho_tilde",
     "is_principal",
     "delta_solution",
@@ -166,14 +167,8 @@ def require_support(link, *supports) -> None:
 def idele_coords(comp: ComplementHomology, a: Idele) -> tuple[int, ...]:
     """Coordinate vector of the reassembled idele in H1(M - L), pre-quotient."""
     require_support(comp.link, a.support)
-    n = comp.group.generator_count
-    total = [0] * n
-    for k, x, y in a.parts:
-        mu = comp.meridian_coords(k)
-        l0 = comp.longitude_coords(k)
-        for i in range(n):
-            total[i] += x * mu[i] + y * l0[i]
-    return tuple(total)
+    parts = [comp.peripheral_coords(PeripheralClass(k, x, y)) for k, x, y in a.parts]
+    return tuple(map(sum, zip((0,) * comp.group.generator_count, *parts)))
 
 
 def rho_tilde(comp: ComplementHomology, a: Idele) -> GroupElement:
@@ -189,32 +184,30 @@ def is_principal(comp: ComplementHomology, a: Idele) -> bool:
 def delta_solution(comp: ComplementHomology, divisor: Divisor) -> tuple[list[int], Idele]:
     """Solve for the principal idele with the divisor's longitude coefficients.
 
-    Returns (t, idele) where t solves surgery_matrix @ t = lk_with_surgery^T d,
-    read off the cached inverse of H1(M)'s relations (Lambda @ n = den * I,
-    so t = n @ rhs / den); raises DivisorNotPrincipal when the divisor class
-    is nonzero in H1(M), that is when that quotient is not integral.
+    Returns (t, idele). With ell_K the surgery half of K's reference
+    longitude (``comp.longitude_coords``), t solves
+    surgery_matrix @ t = sum_K d_K ell_K, read off the cached inverse of
+    H1(M)'s relations (Lambda @ n = den * I, so t = n @ rhs / den). The
+    meridian coefficient at K is K's whole reference longitude read against
+    (t, -d): ell_K . t - sum_{K' != K} lk(K, K') d_{K'}. Raises
+    DivisorNotPrincipal when the divisor class is nonzero in H1(M), that is
+    when that quotient is not integral.
     """
     require_support(comp.link, divisor.support)
-    man = comp.manifold
-    pres = man.presentation
-    s = len(man.surgery_names)
-    link = comp.link
-    d = [divisor.coefficient(k) for k in link]
-    rows = [man.knot_index(k) for k in link]
-    rhs = [sum(pres.lk_with_surgery[rows[a], j] * d[a] for a in range(len(link))) for j in range(s)]
-    n, den = man.h1.block_inverse
+    n, den = comp.manifold.h1.block_inverse
+    d = [divisor.coefficient(k) for k in comp.link]
+    longitudes = [comp.longitude_coords(k) for k in comp.link]
+    rhs = [0] * n.cols
+    for c, row in zip(d, longitudes):
+        rhs = [r + c * x for r, x in zip(rhs, row)]
     scaled = n.mul_vector(rhs)
     if any(x % den for x in scaled):
         raise DivisorNotPrincipal(
             "the divisor's class in H1(M) is nonzero, so no 2-chain bounds it"
         )
     t = [x // den for x in scaled]
-    parts = {}
-    for a, k in enumerate(link):
-        i = rows[a]
-        x = sum(pres.lk_with_surgery[i, j] * t[j] for j in range(s))
-        x -= sum(pres.lk_mutual[i, rows[b]] * d[b] for b in range(len(link)) if b != a)
-        parts[k] = (x, d[a])
+    against = t + [-c for c in d]
+    parts = {k: (sum(x * v for x, v in zip(row, against)), c) for k, row, c in zip(comp.link, longitudes, d)}
     return t, Idele.of(parts)
 
 

@@ -16,6 +16,14 @@ K in L,
 * reference longitude of K to
   sum_j lk(K, L_j) m_j + sum_{K' in L, K' != K} lk(K, K') mu_{K'}.
 
+The relations and the table come from whole presentation rows. Lambda is
+symmetric, so its rows lead the relation matrix, and the ``lk_with_surgery``
+rows of the knots in L follow. The reference longitude of K is K's row there
+followed by K's ``lk_mutual`` row restricted to L, whose zero diagonal
+supplies the K' = K entry.
+``load_and_validate`` checks the symmetry and the zero diagonal.
+``ComplementHomology`` owns this table, and ``ideles`` reads it from there.
+
 The preferred longitude of K is the exact generator of the kernel of
 H1(boundary torus) -> H1(M - K), sign-normalized to positive longitude
 coefficient; its longitude coefficient equals the order of [K] in H1(M).
@@ -108,8 +116,8 @@ class LongitudeData:
 class _ComplementGroup(FgAbelianGroup):
     """H1(M - L): its relations lead with Lambda, so it reads H1(M)'s inverse on first use."""
 
-    def __init__(self, h1: FgAbelianGroup, relations: IntMatrix, labels):
-        super().__init__(relations.rows, relations, labels=labels)
+    def __init__(self, h1: FgAbelianGroup, relations: IntMatrix):
+        super().__init__(relations.rows, relations)
         self._h1 = h1
 
     @property
@@ -118,33 +126,26 @@ class _ComplementGroup(FgAbelianGroup):
 
 
 class ComplementHomology:
-    """H1 of the complement of a sublink, with its peripheral table."""
+    """H1 of the complement of a sublink, with its peripheral table.
+
+    The one owner of a stage's presentation data. It reads whole rows, as
+    the module docstring says, relying on Lambda's symmetry and the zero
+    diagonal of ``lk_mutual``, which ``load_and_validate`` checks.
+    """
 
     def __init__(self, manifold: Manifold, link: tuple[str, ...]):
         self.manifold = manifold
         self.link = link
         pres = manifold.presentation
         s = len(manifold.surgery_names)
-        l = len(link)
         knot_rows = [manifold.knot_index(k) for k in link]
-        # relation j: sum_i Lambda(j,i) m_i + sum_a lk(K_a, L_j) mu_a = 0
-        rel_cols = []
-        for j in range(s):
-            col = [pres.surgery_matrix[j, i] for i in range(s)]
-            col += [pres.lk_with_surgery[a, j] for a in knot_rows]
-            rel_cols.append(col)
-        relations = IntMatrix.from_columns(rel_cols, rows=s + l)
-        labels = tuple(manifold.surgery_names) + tuple(link)
-        self.group = _ComplementGroup(manifold.h1, relations, labels)
+        ell = [pres.lk_with_surgery.row(i) for i in knot_rows]
+        # column j is relation j: sum_i Lambda(j,i) m_i + sum_a lk(K_a, L_j) mu_a = 0
+        relations = IntMatrix(s + len(link), s, pres.surgery_matrix.entries + tuple(x for row in ell for x in row))
+        self.group = _ComplementGroup(manifold.h1, relations)
         self._mu_pos = {k: s + a for a, k in enumerate(link)}
-        self._l0: dict[str, tuple[int, ...]] = {}
-        for a, k in enumerate(link):
-            i = knot_rows[a]
-            coords = [pres.lk_with_surgery[i, j] for j in range(s)]
-            coords += [
-                0 if link[b] == k else pres.lk_mutual[i, knot_rows[b]] for b in range(l)
-            ]
-            self._l0[k] = tuple(coords)
+        mutual = [pres.lk_mutual.row(i) for i in knot_rows]
+        self._l0 = {k: row + tuple(m[b] for b in knot_rows) for k, row, m in zip(link, ell, mutual)}
 
     @property
     def relations(self) -> IntMatrix:
@@ -167,9 +168,9 @@ class ComplementHomology:
     def peripheral_coords(self, a: PeripheralClass) -> tuple[int, ...]:
         """Coordinates of x * meridian + y * longitude in the complement."""
         self._require(a.knot)
-        mu = self.meridian_coords(a.knot)
-        l0 = self._l0[a.knot]
-        return tuple(a.meridian * m + a.longitude * t for m, t in zip(mu, l0))
+        coords = [a.longitude * t for t in self._l0[a.knot]]
+        coords[self._mu_pos[a.knot]] += a.meridian
+        return tuple(coords)
 
     def class_of(self, a: PeripheralClass) -> GroupElement:
         return self.group.element(self.peripheral_coords(a))

@@ -29,6 +29,7 @@ from .errors import (
     SelfLinking,
     UnknownKnot,
     json_int,
+    json_names,
 )
 from .linalg import IntMatrix, smith_normal_form, solve_each_mod_subgroup, solve_rational
 
@@ -88,8 +89,8 @@ def presentation_from_dict(data) -> SurgeryPresentation:
     try:
         surgery = data["surgery"]
         link = data["link"]
-        names = [str(x) for x in surgery["components"]]
-        knots = [str(x) for x in link["components"]]
+        names = json_names(surgery["components"], "surgery components")
+        knots = json_names(link["components"], "link components")
         return SurgeryPresentation.build(names, surgery["matrix"], knots, link["lk_with_surgery"], link["lk_mutual"])
     except (KeyError, TypeError) as exc:
         # a missing key, or a matrix or row that is not a list
@@ -142,12 +143,8 @@ class Manifold:
         self.surgery_names = presentation.surgery_names
         self.knot_names = presentation.knot_names
         self._knot_index = {k: i for i, k in enumerate(self.knot_names)}
-        # relation j of H1(M) is row j of the surgery matrix
-        self.h1 = FgAbelianGroup(
-            len(self.surgery_names),
-            presentation.surgery_matrix.transpose(),
-            labels=self.surgery_names,
-        )
+        # relation j of H1(M) is row j of the surgery matrix, which is symmetric
+        self.h1 = FgAbelianGroup(len(self.surgery_names), presentation.surgery_matrix)
 
     @property
     def surgery_matrix(self) -> IntMatrix:

@@ -251,6 +251,9 @@ ERROR_CASES = {
     "singular-matrix": ("not_qhs3", presentation(matrix=((0,),)), "info", []),
     "bad-dimensions": ("bad_dimensions", presentation(lk_with_surgery=((1, 2),)), "info", []),
     "duplicate-name": ("duplicate_name", presentation(knots=("L1",)), "info", []),
+    "components-string": ("bad_input", presentation(knots="K"), "info", []),
+    "component-null": ("bad_input", presentation(knots=(None,)), "info", []),
+    "branch-link-string": ("bad_input", HOPF, "cover", ["--phi", phi("K1", [2], [[1]])]),
     "unknown-knot": ("unknown_knot", HOPF, "lk", ["K1", "K9"]),
     "self-linking": ("self_linking", HOPF, "lk", ["K1", "K1"]),
 }

@@ -78,6 +78,13 @@ def test_every_export_is_its_home_modules_object():
         assert vars(idelink)[name] is obj
 
 
+def test_every_export_is_in_its_home_modules_all():
+    for module, names in idelink._EXPORTS.items():
+        declared = getattr(importlib.import_module(f"idelink.{module}"), "__all__", None)
+        if declared is not None:
+            assert not set(names) - set(declared), module
+
+
 def test_dir_lists_every_export_before_any_is_resolved():
     done = fresh("-c", "import idelink; print(sorted(set(idelink.__all__) - set(dir(idelink))))")
     assert done.returncode == 0, done.stderr

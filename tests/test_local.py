@@ -1,12 +1,14 @@
 """Peripheral classes, valuations, the local pairing, preferred longitudes."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idelink.errors import KnotOutsideLink, MismatchedKnot, UnknownKnot
+from idelink.errors import DivisorNotPrincipal, KnotOutsideLink, MismatchedKnot, UnknownKnot
+from idelink.ideles import Divisor, Idele, delta_solution, idele_coords
 from idelink.linalg import preimage_lattice
 from idelink.local import (
     PeripheralClass,
@@ -165,3 +167,91 @@ def test_complement_group_shares_the_inverse_of_lambda():
             comp = complement_homology(man, link)
             assert comp.group.block_inverse is man.h1.block_inverse
     assert seen_empty_surgery
+
+
+def fraction_solve(rows, rhs):
+    """The unique rational x with rows @ x = rhs, by Gauss-Jordan on a nonsingular square system."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                aug[r] = [v - aug[r][c] * w for v, w in zip(aug[r], aug[c])]
+    return [row[n] for row in aug]
+
+
+def test_stage_table_matches_the_module_formulas_entry_by_entry():
+    """Relations, peripheral table, idele coordinates and delta against the ``local`` docstring."""
+    rng = random.Random(9311)
+    empty_surgery = gaps = principal = refused = 0
+    for _ in range(200):
+        man = random_manifold(rng, 4, 5, 5)
+        pres = man.presentation
+        s, knots = len(man.surgery_names), list(man.knot_names)
+        lam, ell, mut = pres.surgery_matrix, pres.lk_with_surgery, pres.lk_mutual
+        selections = [[rng.choice(knots)], knots[::2], rng.sample(knots, len(knots))]
+        selections.append(rng.sample(knots, rng.randint(1, len(knots))))
+        for chosen in selections:
+            comp = complement_homology(man, chosen)
+            link = comp.link
+            assert link == tuple(k for k in knots if k in chosen)
+            rows = [man.knot_index(k) for k in link]
+            l, n = len(link), s + len(link)
+            empty_surgery += s == 0
+            gaps += rows != list(range(rows[0], rows[0] + l))
+
+            rel = comp.relations
+            assert (rel.rows, rel.cols) == (n, s)
+            for j in range(s):
+                for i in range(s):
+                    assert rel[i, j] == lam[j, i]
+                for a in range(l):
+                    assert rel[s + a, j] == ell[rows[a], j]
+
+            meridian, longitude = {}, {}
+            for a, k in enumerate(link):
+                meridian[k] = tuple(int(i == s + a) for i in range(n))
+                longitude[k] = tuple(ell[rows[a], j] for j in range(s)) + tuple(
+                    0 if b == a else mut[rows[a], rows[b]] for b in range(l)
+                )
+                assert comp.meridian_coords(k) == meridian[k]
+                assert comp.longitude_coords(k) == longitude[k]
+                x, y = rng.randint(-9, 9), rng.randint(-9, 9)
+                expected = tuple(x * m + y * t for m, t in zip(meridian[k], longitude[k]))
+                assert comp.peripheral_coords(PeripheralClass(k, x, y)) == expected
+
+            pm = comp.peripheral_matrix()
+            assert (pm.rows, pm.cols) == (n, 2 * l)
+            for a, k in enumerate(link):
+                for i in range(n):
+                    assert (pm[i, 2 * a], pm[i, 2 * a + 1]) == (meridian[k][i], longitude[k][i])
+
+            pairs = {k: (rng.randint(-9, 9), rng.randint(-9, 9)) for k in link}
+            expected = [0] * n
+            for k, (x, y) in pairs.items():
+                for i in range(n):
+                    expected[i] += x * meridian[k][i] + y * longitude[k][i]
+            assert idele_coords(comp, Idele.of(pairs)) == tuple(expected)
+
+            d = {k: rng.randint(-4, 4) for k in link}
+            if s and rng.random() < 0.5:
+                d = {k: c * man.h1.modulus for k, c in d.items()}  # always principal
+            rhs = [sum(d[k] * ell[i, j] for k, i in zip(link, rows)) for j in range(s)]
+            exact = fraction_solve(lam.to_rows(), rhs) if s else []
+            if any(v.denominator != 1 for v in exact):
+                with pytest.raises(DivisorNotPrincipal):
+                    delta_solution(comp, Divisor.of(d))
+                refused += 1
+                continue
+            t, idele = delta_solution(comp, Divisor.of(d))
+            assert t == [int(v) for v in exact]
+            for a, k in enumerate(link):
+                x = sum(ell[rows[a], j] * t[j] for j in range(s))
+                x -= sum(mut[rows[a], rows[b]] * d[link[b]] for b in range(l) if b != a)
+                assert idele.component(k) == PeripheralClass(k, x, d[k])
+            principal += 1
+    assert empty_surgery and gaps, (empty_surgery, gaps)
+    assert principal > 300 and refused > 100, (principal, refused)
