@@ -205,8 +205,6 @@ def subgroup_invariant_factors(group: FgAbelianGroup, vectors) -> tuple[int, ...
     """Invariant factors of the subgroup generated by the given coordinate vectors."""
     vectors = [group.element(v).coords for v in vectors]
     k = len(vectors)
-    if k == 0:
-        return ()
     gen_matrix = IntMatrix.from_columns(vectors, rows=group.generator_count)
     basis = preimage_lattice(gen_matrix, group.relations)
     return FgAbelianGroup(k, IntMatrix.from_columns(basis, rows=k)).invariant_factors

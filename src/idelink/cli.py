@@ -3,9 +3,12 @@
 Every subcommand reads a surgery presentation from a JSON file and prints a
 single JSON object on stdout. Validation failures of any kind exit with
 status 2 and print {"error": <code>, "detail": <message>}; the fuzz
-subcommand exits 1 when a property violation was found. Rationals are
-serialized as strings "p/q" in lowest terms with positive denominator
-(plain "p" when integral) so no output ever passes through floats.
+subcommand exits 1 when a property violation was found. A presentation file
+that cannot be read or decoded as UTF-8, and JSON that is malformed, nested
+too deep or holds an integer longer than the interpreter's digit limit, are
+all ``bad_input``. Rationals are serialized as strings "p/q" in lowest terms
+with positive denominator (plain "p" when integral) so no output ever passes
+through floats.
 
 Only what every subcommand needs is imported up front; each handler imports
 its own layer, so a call loads just the modules its subcommand runs.
@@ -40,13 +43,9 @@ def _load_manifold(path: str) -> Manifold:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise BadInput(f"cannot read presentation file {path!r}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BadInput(f"presentation file {path!r} is not valid JSON: {exc}") from exc
-    return load_and_validate(presentation_from_dict(data))
+    return load_and_validate(presentation_from_dict(_parse_json(text, f"presentation file {path!r}")))
 
 
 def _load_complement(args):
@@ -56,9 +55,10 @@ def _load_complement(args):
 
 
 def _parse_json(text: str, what: str):
+    # JSONDecodeError is a ValueError, as is an integer literal past the digit limit
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise BadInput(f"{what} is not valid JSON: {exc}") from exc
 
 

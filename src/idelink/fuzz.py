@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gcd, prod
 
 from .covers import decomposition_data, global_symbol, kummer_cover, local_symbol, make_cover
@@ -79,15 +79,7 @@ class FuzzConfig:
             raise BadInput(f"corrupt must be one of {_CORRUPT_CHOICES[1:]}")
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_surgery": self.max_surgery,
-            "max_link": self.max_link,
-            "entry_bound": self.entry_bound,
-            "coeff_bound": self.coeff_bound,
-            "corrupt": self.corrupt,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -426,13 +418,9 @@ def _shrink_candidates(p: SurgeryPresentation):
     surgery = p.surgery_matrix.to_rows()
     lk_ws = p.lk_with_surgery.to_rows()
     lk_mut = p.lk_mutual.to_rows()
-
-    def build(names_s, mat, names_k, ws, mut):
-        return SurgeryPresentation.build(names_s, mat, names_k, ws, mut)
-
     for j in range(s):
         keep = [i for i in range(s) if i != j]
-        yield build(
+        yield SurgeryPresentation.build(
             [p.surgery_names[i] for i in keep],
             [[surgery[a][c] for c in keep] for a in keep],
             list(p.knot_names),
@@ -442,7 +430,7 @@ def _shrink_candidates(p: SurgeryPresentation):
     if r > 1:
         for a in range(r):
             keep = [i for i in range(r) if i != a]
-            yield build(
+            yield SurgeryPresentation.build(
                 list(p.surgery_names),
                 surgery,
                 [p.knot_names[i] for i in keep],
@@ -455,20 +443,26 @@ def _shrink_candidates(p: SurgeryPresentation):
                 mat = [row[:] for row in surgery]
                 mat[i][j] = nv
                 mat[j][i] = nv
-                yield build(list(p.surgery_names), mat, list(p.knot_names), lk_ws, lk_mut)
+                yield SurgeryPresentation.build(
+                    list(p.surgery_names), mat, list(p.knot_names), lk_ws, lk_mut
+                )
     for i in range(r):
         for j in range(s):
             for nv in _toward_zero(lk_ws[i][j]):
                 ws = [row[:] for row in lk_ws]
                 ws[i][j] = nv
-                yield build(list(p.surgery_names), surgery, list(p.knot_names), ws, lk_mut)
+                yield SurgeryPresentation.build(
+                    list(p.surgery_names), surgery, list(p.knot_names), ws, lk_mut
+                )
     for i in range(r):
         for j in range(i + 1, r):
             for nv in _toward_zero(lk_mut[i][j]):
                 mut = [row[:] for row in lk_mut]
                 mut[i][j] = nv
                 mut[j][i] = nv
-                yield build(list(p.surgery_names), surgery, list(p.knot_names), lk_ws, mut)
+                yield SurgeryPresentation.build(
+                    list(p.surgery_names), surgery, list(p.knot_names), lk_ws, mut
+                )
 
 
 def _failing_results(p: SurgeryPresentation, witness_seed: int, cfg: FuzzConfig):

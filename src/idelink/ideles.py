@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import FgAbelianGroup, GroupElement
+from .abelian import GroupElement, subgroup_invariant_factors
 from .errors import BadInput, DivisorNotPrincipal, SupportOutsideLink, json_int
-from .linalg import IntMatrix, preimage_lattice
+from .linalg import preimage_lattice
 from .local import ComplementHomology, PeripheralClass, local_intersection
 
 __all__ = [
@@ -230,15 +230,16 @@ def principal_lattice_basis(comp: ComplementHomology) -> list[Idele]:
 def idele_class_group(comp: ComplementHomology) -> ClassGroupData:
     """Invariant factors of ideles mod principal ideles, and of coker(rho).
 
+    Principal ideles are the kernel of rho, so the class group is rho's
+    image: the subgroup of H1(M - L) generated by the peripheral classes.
     coker(rho) is H1(M - L) modulo every meridian and reference longitude of
     L. Killing the meridians leaves H1(M), where each reference longitude
     becomes its knot's class, so the cokernel is H1(M) modulo the classes of
     L: the group ``Manifold.generates_h1`` asks about, with the modulus
     |det Lambda|.
     """
-    width = 2 * len(comp.link)
-    basis = preimage_lattice(comp.peripheral_matrix(), comp.relations)
-    class_invariants = FgAbelianGroup(width, IntMatrix.from_columns(basis, rows=width)).invariant_factors
+    peripheral = comp.peripheral_matrix()
+    class_invariants = subgroup_invariant_factors(comp.group, map(peripheral.column, range(peripheral.cols)))
     man = comp.manifold
     coker = man.h1.quotient(man.knot_class(k).coords for k in comp.link)
     return ClassGroupData(

@@ -515,8 +515,6 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     """
     free, pivots, m, den = _fraction_free_nullspace(a)
     k, p = len(free), len(pivots)
-    if not k:
-        return IntMatrix(a.cols, 0, ())
     gens = [m[i] + [1 if j == i else 0 for j in range(k)] for i in range(k)]
     cols = []
     for row in _hermite_basis_mod(gens, p + k, den)[p:]:

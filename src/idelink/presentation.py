@@ -187,9 +187,6 @@ class Manifold:
             raise SelfLinking(f"linking number of {a!r} with itself is not defined")
         i, j = self.knot_index(a), self.knot_index(b)
         mutual = Fraction(self.presentation.lk_mutual[i, j])
-        s = len(self.surgery_names)
-        if s == 0:
-            return mutual
         ell_a = self.presentation.lk_with_surgery.row(i)
         ell_b = self.presentation.lk_with_surgery.row(j)
         solved = solve_rational(self.surgery_matrix, ell_b)

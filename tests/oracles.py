@@ -3,10 +3,11 @@
 The library answers lattice questions through ``linalg.preimage_lattice``
 and ``linalg.smith_diagonal_mod``; these plain integer eliminations are
 kept here as independent references for them: a Hermite row basis by
-repeated extended-gcd row moves, and reduction of a vector against such a
-basis.
+repeated extended-gcd row moves, reduction of a vector against such a
+basis, and a rational solve by Fraction Gauss-Jordan.
 """
 
+from fractions import Fraction
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -69,3 +70,17 @@ def lattice_reduce(vec, basis_rows: list) -> list[int]:
         if q:
             x = [s - q * t for s, t in zip(x, b)]
     return x
+
+
+def fraction_solve(rows, rhs):
+    """The unique rational x with rows @ x = rhs, by Gauss-Jordan on a nonsingular square system."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                aug[r] = [v - aug[r][c] * w for v, w in zip(aug[r], aug[c])]
+    return [row[n] for row in aug]

@@ -183,6 +183,10 @@ def test_subgroup_invariant_factors():
     with pytest.raises(BadInput):
         subgroup_invariant_factors(z2z, [[1.0, 0]])
 
+    # no generators: the trivial subgroup, by the general route
+    for g in (z6, z2z, group(0, [])):
+        assert subgroup_invariant_factors(g, []) == ()
+
 
 def nonzero_smith_diagonal(rel: IntMatrix) -> list[int]:
     return [d for d in smith_normal_form(rel).diagonal if d]

@@ -268,6 +268,43 @@ def test_error_codes(capsys, tmp_path, case):
     assert (code, out["error"]) == (2, expected)
 
 
+def _digits_past_the_limit() -> str:
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("this interpreter has no integer digit limit")
+    return "7" * (limit + 1)
+
+
+# (presentation file bytes, subcommand, arguments after the file): input that the file read or
+# json.loads refuses with something other than a JSONDecodeError
+UNDECODABLE_INPUT = {
+    "file-not-utf8": lambda: (b'{"surgery": "\xff\xfe"}', "info", []),
+    "file-deep": lambda: (b"[" * 200_000, "info", []),
+    "file-long-integer": lambda: (
+        json.dumps(presentation()).replace("[[5]]", f"[[{_digits_past_the_limit()}]]").encode(), "info", []
+    ),
+    "a-deep": lambda: (json.dumps(LENS5).encode(), "is-principal", ["--a", "[" * 5000]),
+    "a-long-integer": lambda: (
+        json.dumps(LENS5).encode(), "is-principal", ["--a", f'{{"K": [{_digits_past_the_limit()}, 1]}}']
+    ),
+    "phi-deep": lambda: (json.dumps(LENS5).encode(), "cover", ["--phi", "[" * 5000]),
+    "phi-long-integer": lambda: (
+        json.dumps(LENS5).encode(),
+        "cover",
+        ["--phi", f'{{"branch_link": ["K"], "target": [{_digits_past_the_limit()}], "phi": [[1]]}}'],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE_INPUT))
+def test_undecodable_input_is_bad_input(capsys, tmp_path, case):
+    content, command, rest = UNDECODABLE_INPUT[case]()
+    path = tmp_path / "presentation.json"
+    path.write_bytes(content)
+    code, out = run(capsys, command, str(path), *rest)
+    assert (code, out["error"]) == (2, "bad_input")
+
+
 def test_fuzz_exit_codes(capsys):
     code, out = run(capsys, "fuzz", "--trials", "10", "--seed", "4")
     assert code == 0

@@ -1,6 +1,7 @@
 """Ideles, the principal lattice, the divisor map, and global reciprocity."""
 
 import random
+from math import lcm
 
 import pytest
 
@@ -16,10 +17,11 @@ from idelink.ideles import (
     principal_lattice_basis,
     rho_tilde,
 )
+from idelink.linalg import IntMatrix, smith_normal_form
 from idelink.local import PeripheralClass, complement_homology
 
 from conftest import manifold, random_manifold
-from oracles import hermite_row_basis
+from oracles import fraction_solve, hermite_row_basis
 
 
 def test_idele_normalization():
@@ -188,6 +190,58 @@ def test_cokernel_is_h1_modulo_the_knot_classes():
         assert data.coker_invariants == direct.invariant_factors, (man.presentation, link)
         nontrivial += data.coker_invariants != ()
     assert nontrivial > 50, nontrivial
+
+
+def principal_graph_basis(man, link):
+    """Principal ideles on ``link`` as the graph {(A y, y) : y in Y}, interleaved (x1, y1, x2, y2, ...).
+
+    With L the stage's rows of lk_with_surgery and Mut its mutual linking,
+    A = L Lambda^-1 L^T - Mut and Y = {y : Lambda^-1 L^T y integral}. Y is
+    read from the Hermite basis of the rows (den e_i | 0) and
+    (den Lambda^-1 L^T e_j | e_j): the rows whose first block is zero.
+    """
+    pres = man.presentation
+    idx = [man.knot_index(k) for k in link]
+    s, l = len(man.surgery_names), len(link)
+    ell = [pres.lk_with_surgery.row(i) for i in idx]
+    solved = [fraction_solve(pres.surgery_matrix.to_rows(), row) for row in ell]  # Lambda^-1 L^T e_j
+    a = [
+        [sum(x * t for x, t in zip(ell[i], solved[j])) - pres.lk_mutual[idx[i], idx[j]] for j in range(l)]
+        for i in range(l)
+    ]
+    den = lcm(1, *(t.denominator for col in solved for t in col))
+    rows = [[den if c == i else 0 for c in range(s)] + [0] * l for i in range(s)]
+    rows += [[int(den * t) for t in solved[j]] + [int(c == j) for c in range(l)] for j in range(l)]
+    ys = [row[s:] for row in hermite_row_basis(rows) if not any(row[:s])]
+    graph = []
+    for y in ys:
+        x = [sum(a[i][j] * y[j] for j in range(l)) for i in range(l)]
+        assert all(t.denominator == 1 for t in x)
+        graph.append([int(t) for pair in zip(x, y) for t in pair])
+    return graph
+
+
+def test_principal_lattice_and_class_group_match_the_graph_over_y():
+    rng = random.Random(4411)
+    torsion = non_admissible = 0
+    for _ in range(300):
+        man = random_manifold(rng, 5, 5, rng.choice((2, 3, 5)))
+        link = man.sublink([k for k in man.knot_names if rng.random() < 0.6] or [rng.choice(man.knot_names)])
+        comp = complement_homology(man, link)
+        graph = principal_graph_basis(man, link)
+        assert len(graph) == len(link)
+        got = [
+            [t for k in link for t in (b.component(k).meridian, b.component(k).longitude)]
+            for b in principal_lattice_basis(comp)
+        ]
+        assert hermite_row_basis(got) == hermite_row_basis(graph), (man.presentation, link)
+        diagonal = smith_normal_form(IntMatrix.from_rows(graph)).diagonal
+        expected = tuple(d for d in diagonal if d not in (0, 1)) + (0,) * len(link)
+        assert idele_class_group(comp).class_invariants == expected, (man.presentation, link)
+        torsion += expected[0] != 0
+        non_admissible += not man.generates_h1(link)
+    assert torsion > 10, torsion
+    assert non_admissible > 50, non_admissible
 
 
 def test_support_validation(hopf):

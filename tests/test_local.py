@@ -1,7 +1,6 @@
 """Peripheral classes, valuations, the local pairing, preferred longitudes."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +18,7 @@ from idelink.local import (
 )
 
 from conftest import HOPF, manifold, random_manifold
+from oracles import fraction_solve
 
 
 def test_peripheral_arithmetic():
@@ -167,20 +167,6 @@ def test_complement_group_shares_the_inverse_of_lambda():
             comp = complement_homology(man, link)
             assert comp.group.block_inverse is man.h1.block_inverse
     assert seen_empty_surgery
-
-
-def fraction_solve(rows, rhs):
-    """The unique rational x with rows @ x = rhs, by Gauss-Jordan on a nonsingular square system."""
-    n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for c in range(n):
-        p = next(r for r in range(c, n) if aug[r][c])
-        aug[c], aug[p] = aug[p], aug[c]
-        aug[c] = [v / aug[c][c] for v in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                aug[r] = [v - aug[r][c] * w for v, w in zip(aug[r], aug[c])]
-    return [row[n] for row in aug]
 
 
 def test_stage_table_matches_the_module_formulas_entry_by_entry():
