@@ -56,6 +56,7 @@ _EXPORTS = {
         "NotQHS3",
         "SelfLinking",
         "SupportOutsideLink",
+        "TooLarge",
         "UnknownKnot",
     ),
     "fuzz": ("FuzzConfig", "Report", "fuzz_suite"),

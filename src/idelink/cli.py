@@ -1,12 +1,16 @@
 """Command-line surface: JSON in, JSON out, exact arithmetic throughout.
 
 Every subcommand reads a surgery presentation from a JSON file and prints a
-single JSON object on stdout. Validation failures of any kind exit with
+single JSON object on stdout. ``run_command`` loads the file once and, for a
+subcommand that declares ``--link``, builds that stage; the handler receives
+the manifold or the stage and decodes its own flags after it, so a call with
+several faults reports the first. Validation failures of any kind exit with
 status 2 and print {"error": <code>, "detail": <message>}; the fuzz
 subcommand exits 1 when a property violation was found. A presentation file
 that cannot be read or decoded as UTF-8, and JSON that is malformed, nested
 too deep or holds an integer longer than the interpreter's digit limit, are
-all ``bad_input``. Rationals are serialized as strings "p/q" in lowest terms
+all ``bad_input``; an answer with an integer too long for that limit to print
+is ``too_large``. Rationals are serialized as strings "p/q" in lowest terms
 with positive denominator (plain "p" when integral) so no output ever passes
 through floats.
 
@@ -24,19 +28,10 @@ import json
 import sys
 from functools import cache
 
-from .errors import BadInput, IdelinkError
+from .errors import BadInput, IdelinkError, TooLarge
 from .presentation import Manifold, load_and_validate, presentation_from_dict
 
 __all__ = ["run_command", "main"]
-
-
-def _fmt_rational(q) -> str:
-    from fractions import Fraction
-
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _load_manifold(path: str) -> Manifold:
@@ -48,10 +43,16 @@ def _load_manifold(path: str) -> Manifold:
     return load_and_validate(presentation_from_dict(_parse_json(text, f"presentation file {path!r}")))
 
 
-def _load_complement(args):
+def _inputs(args):
+    """The manifold, or its stage when the subcommand declares ``--link``; None for fuzz."""
+    if not hasattr(args, "presentation"):
+        return None
+    man = _load_manifold(args.presentation)
+    if not hasattr(args, "link"):
+        return man
     from .local import complement_homology
 
-    return complement_homology(_load_manifold(args.presentation), _parse_link(args.link))
+    return complement_homology(man, _parse_link(args.link))
 
 
 def _parse_json(text: str, what: str):
@@ -69,6 +70,18 @@ def _parse_link(text: str | None) -> list[str] | None:
     if not names:
         raise BadInput("the link flag needs at least one knot name")
     return names
+
+
+def _idele(args, flag: str):
+    from .ideles import Idele
+
+    return Idele.from_dict(_parse_json(getattr(args, flag), f"--{flag}"))
+
+
+def _cover(man, args):
+    from .covers import CoverSpec
+
+    return CoverSpec.from_dict(man, _parse_json(args.phi, "--phi"))
 
 
 def _parse_divisor(text: str):
@@ -91,10 +104,9 @@ def _parse_divisor(text: str):
     return Divisor.of(parts)
 
 
-def _cmd_info(args):
+def _cmd_info(man, args):
     from .local import preferred_longitude
 
-    man = _load_manifold(args.presentation)
     knots = {}
     for k in man.knot_names:
         ld = preferred_longitude(man, k)
@@ -111,15 +123,13 @@ def _cmd_info(args):
     return payload, 0
 
 
-def _cmd_lk(args):
-    man = _load_manifold(args.presentation)
-    return {"lk": _fmt_rational(man.linking_number(args.knot_a, args.knot_b))}, 0
+def _cmd_lk(man, args):
+    return {"lk": str(man.linking_number(args.knot_a, args.knot_b))}, 0
 
 
-def _cmd_longitude(args):
+def _cmd_longitude(man, args):
     from .local import preferred_longitude
 
-    man = _load_manifold(args.presentation)
     ld = preferred_longitude(man, args.knot)
     payload = {
         "knot": args.knot,
@@ -130,10 +140,9 @@ def _cmd_longitude(args):
     return payload, 0
 
 
-def _cmd_class_group(args):
+def _cmd_class_group(comp, args):
     from .ideles import idele_class_group
 
-    comp = _load_complement(args)
     data = idele_class_group(comp)
     payload = {
         "link": list(data.link),
@@ -143,56 +152,43 @@ def _cmd_class_group(args):
     return payload, 0
 
 
-def _cmd_principal_basis(args):
+def _cmd_principal_basis(comp, args):
     from .ideles import principal_lattice_basis
 
-    comp = _load_complement(args)
     basis = principal_lattice_basis(comp)
     return {"link": list(comp.link), "basis": [b.to_dict() for b in basis]}, 0
 
 
-def _cmd_delta(args):
+def _cmd_delta(comp, args):
     from .ideles import delta_from_divisor
 
-    comp = _load_complement(args)
     idele = delta_from_divisor(comp, _parse_divisor(args.divisor))
     return {"idele": idele.to_dict()}, 0
 
 
-def _cmd_is_principal(args):
-    from .ideles import Idele, is_principal
+def _cmd_is_principal(comp, args):
+    from .ideles import is_principal
 
-    comp = _load_complement(args)
-    a = Idele.from_dict(_parse_json(args.a, "--a"))
-    return {"principal": is_principal(comp, a)}, 0
+    return {"principal": is_principal(comp, _idele(args, "a"))}, 0
 
 
-def _cmd_pairing(args):
-    from .ideles import Idele, global_pairing, require_support
+def _cmd_pairing(comp, args):
+    from .ideles import global_pairing, require_support
 
-    man = _load_manifold(args.presentation)
-    link = man.sublink(_parse_link(args.link))
-    a = Idele.from_dict(_parse_json(args.a, "--a"))
-    b = Idele.from_dict(_parse_json(args.b, "--b"))
-    require_support(link, a.support, b.support)
+    a, b = _idele(args, "a"), _idele(args, "b")
+    require_support(comp.link, a.support, b.support)
     return {"iota": str(global_pairing(a, b))}, 0
 
 
-def _cmd_cover(args):
-    from .covers import CoverSpec
-
-    man = _load_manifold(args.presentation)
-    cover = CoverSpec.from_dict(man, _parse_json(args.phi, "--phi"))
+def _cmd_cover(man, args):
+    cover = _cover(man, args)
     return {"cover": cover.to_dict(), "surjective": cover.is_surjective()}, 0
 
 
-def _cmd_symbol(args):
-    from .covers import CoverSpec, global_symbol, local_symbol
-    from .ideles import Idele
+def _cmd_symbol(man, args):
+    from .covers import global_symbol, local_symbol
 
-    man = _load_manifold(args.presentation)
-    cover = CoverSpec.from_dict(man, _parse_json(args.phi, "--phi"))
-    a = Idele.from_dict(_parse_json(args.a, "--a"))
+    cover, a = _cover(man, args), _idele(args, "a")
     payload = {
         "symbol": list(global_symbol(a, cover)),
         "local_symbols": {
@@ -202,12 +198,10 @@ def _cmd_symbol(args):
     return payload, 0
 
 
-def _cmd_decomp(args):
-    from .covers import CoverSpec, decomposition_data
+def _cmd_decomp(man, args):
+    from .covers import decomposition_data
 
-    man = _load_manifold(args.presentation)
-    cover = CoverSpec.from_dict(man, _parse_json(args.phi, "--phi"))
-    dd = decomposition_data(cover, args.knot)
+    dd = decomposition_data(_cover(man, args), args.knot)
     payload = {
         "knot": args.knot,
         "ramification": dd.ramification_index,
@@ -217,40 +211,30 @@ def _cmd_decomp(args):
     return payload, 0
 
 
-def _cmd_kummer(args):
+def _cmd_kummer(comp, args):
     from .covers import kummer_cover
 
-    comp = _load_complement(args)
     kc = kummer_cover(comp, _parse_divisor(args.divisor), args.n)
     return {"cover": kc.cover.to_dict(), "branch_locus": list(kc.branch_locus)}, 0
 
 
-def _cmd_hilbert(args):
+def _cmd_hilbert(comp, args):
     from .covers import hilbert_symbol
-    from .ideles import Idele, require_support
+    from .ideles import require_support
 
-    man = _load_manifold(args.presentation)
-    link = man.sublink(_parse_link(args.link))
-    a = Idele.from_dict(_parse_json(args.a, "--a"))
-    b = Idele.from_dict(_parse_json(args.b, "--b"))
-    require_support(link, a.support, b.support)
-    if args.knot not in link:
-        raise BadInput(f"knot {args.knot!r} is not in the sublink {list(link)}")
+    a, b = _idele(args, "a"), _idele(args, "b")
+    require_support(comp.link, a.support, b.support)
+    if args.knot not in comp.link:
+        raise BadInput(f"knot {args.knot!r} is not in the sublink {list(comp.link)}")
     return {"symbol": hilbert_symbol(a, b, args.knot, args.n)}, 0
 
 
-def _cmd_fuzz(args):
+def _cmd_fuzz(_, args):
+    from dataclasses import fields
+
     from .fuzz import FuzzConfig, fuzz_suite
 
-    cfg = FuzzConfig(
-        trials=args.trials,
-        seed=args.seed,
-        max_surgery=args.max_surgery,
-        max_link=args.max_link,
-        entry_bound=args.entry_bound,
-        coeff_bound=args.coeff_bound,
-        corrupt=args.corrupt,
-    )
+    cfg = FuzzConfig(**{f.name: getattr(args, f.name) for f in fields(FuzzConfig)})
     report = fuzz_suite(cfg)
     print(f"fuzz: {report.trials} trials in {report.wall_time:.3f}s", file=sys.stderr)
     return report.to_json(), (1 if report.failing_trials else 0)
@@ -340,11 +324,18 @@ def run_command(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        payload, code = args.handler(args)
+        try:
+            payload, code = args.handler(_inputs(args), args)
+            text = json.dumps(payload)
+        except ValueError as exc:
+            # str() of an int past sys.get_int_max_str_digits(); every input decoder catches its own
+            if "integer string conversion" not in str(exc):
+                raise
+            raise TooLarge(f"an answer cannot be printed: {exc}") from exc
     except IdelinkError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}))
         return 2
-    print(json.dumps(payload))
+    print(text)
     return code
 
 

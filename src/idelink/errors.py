@@ -2,8 +2,10 @@
 
 Every error the library can raise on user input carries a distinct ``code``
 string; the command line interface emits it as ``{"error": code, ...}`` and
-exits with status 2. ``json_int`` is the one integer check at the JSON input
-boundary, so a float, a bool or a numeric string is refused, never truncated.
+exits with status 2. ``TooLarge`` is the command line's own: it reports an
+answer with an integer too long for the interpreter to print. ``json_int`` is
+the one integer check at the JSON input boundary, so a float, a bool or a
+numeric string is refused, never truncated.
 """
 
 
@@ -95,6 +97,12 @@ class BadInput(IdelinkError):
     """Malformed JSON or schema violation at the input boundary."""
 
     code = "bad_input"
+
+
+class TooLarge(IdelinkError):
+    """An answer holds an integer longer than ``sys.get_int_max_str_digits()`` allows to print."""
+
+    code = "too_large"
 
 
 def json_int(value, what: str) -> int:

@@ -437,32 +437,19 @@ def _shrink_candidates(p: SurgeryPresentation):
                 [lk_ws[i] for i in keep],
                 [[lk_mut[x][y] for y in keep] for x in keep],
             )
-    for i in range(s):
-        for j in range(i, s):
-            for nv in _toward_zero(surgery[i][j]):
-                mat = [row[:] for row in surgery]
-                mat[i][j] = nv
-                mat[j][i] = nv
-                yield SurgeryPresentation.build(
-                    list(p.surgery_names), mat, list(p.knot_names), lk_ws, lk_mut
-                )
-    for i in range(r):
-        for j in range(s):
-            for nv in _toward_zero(lk_ws[i][j]):
-                ws = [row[:] for row in lk_ws]
-                ws[i][j] = nv
-                yield SurgeryPresentation.build(
-                    list(p.surgery_names), surgery, list(p.knot_names), ws, lk_mut
-                )
-    for i in range(r):
-        for j in range(i + 1, r):
-            for nv in _toward_zero(lk_mut[i][j]):
-                mut = [row[:] for row in lk_mut]
-                mut[i][j] = nv
-                mut[j][i] = nv
-                yield SurgeryPresentation.build(
-                    list(p.surgery_names), surgery, list(p.knot_names), lk_ws, mut
-                )
+    # one entry moves toward zero; in the symmetric Lambda and lk_mutual its mirror moves with it
+    mats = (surgery, lk_ws, lk_mut)
+    cells = [(0, i, j) for i in range(s) for j in range(i, s)]
+    cells += [(1, i, j) for i in range(r) for j in range(s)]
+    cells += [(2, i, j) for i in range(r) for j in range(i + 1, r)]
+    for m, i, j in cells:
+        for nv in _toward_zero(mats[m][i][j]):
+            new = list(mats)
+            new[m] = [row[:] for row in mats[m]]
+            new[m][i][j] = nv
+            if m != 1:
+                new[m][j][i] = nv
+            yield SurgeryPresentation.build(list(p.surgery_names), new[0], list(p.knot_names), new[1], new[2])
 
 
 def _failing_results(p: SurgeryPresentation, witness_seed: int, cfg: FuzzConfig):

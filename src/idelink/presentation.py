@@ -95,8 +95,6 @@ def presentation_from_dict(data) -> SurgeryPresentation:
     except (KeyError, TypeError) as exc:
         # a missing key, or a matrix or row that is not a list
         raise BadInput(f"malformed presentation: {exc}") from exc
-    except ValueError as exc:
-        raise BadDimensions(str(exc)) from exc
 
 
 def presentation_to_dict(p: SurgeryPresentation) -> dict:

@@ -268,11 +268,15 @@ def test_error_codes(capsys, tmp_path, case):
     assert (code, out["error"]) == (2, expected)
 
 
-def _digits_past_the_limit() -> str:
+def _digit_limit() -> int:
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if not limit:
         pytest.skip("this interpreter has no integer digit limit")
-    return "7" * (limit + 1)
+    return limit
+
+
+def _digits_past_the_limit() -> str:
+    return "7" * (_digit_limit() + 1)
 
 
 # (presentation file bytes, subcommand, arguments after the file): input that the file read or
@@ -303,6 +307,92 @@ def test_undecodable_input_is_bad_input(capsys, tmp_path, case):
     path.write_bytes(content)
     code, out = run(capsys, command, str(path), *rest)
     assert (code, out["error"]) == (2, "bad_input")
+
+
+# (presentation, subcommand, arguments after the file): a valid input whose answer has an integer
+# longer than the digit limit, so it cannot be printed
+TOO_LARGE = {
+    # the longitude's meridian coefficient is (a + 2)^2
+    "info-longitude": lambda a: ([[a, 0], [0, a]], [[a + 2, 0]], "info", []),
+    "longitude": lambda a: ([[a, 0], [0, a]], [[a + 2, 0]], "longitude", ["K"]),
+    # the invariant factor is det Lambda = a (a + 2) - 1
+    "info-h1": lambda a: ([[a, 1], [1, a + 2]], [[1, 0]], "info", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_LARGE))
+def test_an_answer_too_long_to_print_is_too_large(capsys, tmp_path, case):
+    # 10^k + 1 has k + 1 digits, within the limit, so the file loads; products of two have 2k, past it
+    matrix, lk_with_surgery, command, rest = TOO_LARGE[case](10 ** (_digit_limit() * 3 // 5) + 1)
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps(presentation(matrix, lk_with_surgery, surgery=("L1", "L2"))))
+    code, out = run(capsys, command, str(path), *rest)
+    assert (code, out["error"]) == (2, "too_large")
+
+
+def test_other_value_errors_still_propagate(monkeypatch, hopf_path):
+    from idelink.presentation import Manifold
+
+    def broken(self, a, b):
+        raise ValueError("not a digit-limit error")
+
+    monkeypatch.setattr(Manifold, "linking_number", broken)
+    with pytest.raises(ValueError, match="not a digit-limit error"):
+        run_command(["lk", hopf_path, "K1", "K2"])
+
+
+# (expected error code, words in its detail, argv with {file} for the Hopf presentation and {missing}
+# for a path that does not exist): the file is read first, then the sublink, then the flags in order
+FIRST_FAULT = {
+    "missing-file-before-bad-a": ("bad_input", "presentation file", ["is-principal", "{missing}", "--a", "not json"]),
+    "unknown-link-knot-before-bad-a": ("unknown_knot", "K9", ["is-principal", "{file}", "--link", "K9", "--a", "not json"]),
+    "bad-divisor-before-bad-modulus": ("bad_input", "divisor", ["kummer", "{file}", "--divisor", "K1", "--n", "1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_FAULT))
+def test_a_call_with_several_faults_reports_the_first(capsys, tmp_path, hopf_path, case):
+    expected, words, argv = FIRST_FAULT[case]
+    argv = [arg.format(file=hopf_path, missing=str(tmp_path / "missing.json")) for arg in argv]
+    code, out = run(capsys, *argv)
+    assert (code, out["error"]) == (2, expected)
+    assert words in out["detail"]
+
+
+def test_the_stage_is_built_once_exactly_for_subcommands_that_declare_link(capsys, monkeypatch, hopf_path):
+    from idelink import local
+
+    loads, stages = [], []
+    real_load, real_stage = cli._load_manifold, local.complement_homology
+    monkeypatch.setattr(cli, "_load_manifold", lambda path: loads.append(path) or real_load(path))
+    monkeypatch.setattr(local, "complement_homology", lambda man, link=None: stages.append(link) or real_stage(man, link))
+    ideles = ["--a", '{"K1":[0,1],"K2":[-1,0]}', "--b", '{"K1":[-1,0],"K2":[0,1]}']
+    phi = ["--phi", '{"branch_link":["K1","K2"],"target":[2],"phi":[[1],[0]]}']
+    with_link = {
+        "class-group": [],
+        "principal-basis": [],
+        "delta": ["--divisor", "K1=1"],
+        "is-principal": ["--a", '{"K1":[1,0]}'],
+        "pairing": ideles,
+        "kummer": ["--divisor", "K1=1", "--n", "2"],
+        "hilbert": ["K1", *ideles, "--n", "3"],
+    }
+    without_link = {
+        "info": [],
+        "lk": ["K1", "K2"],
+        "longitude": ["K1"],
+        "cover": phi,
+        "symbol": [*phi, "--a", '{"K1":[1,0]}'],
+        "decomp": ["K1", *phi],
+    }
+    for command, rest in {**with_link, **without_link}.items():
+        loads.clear()
+        stages.clear()
+        link = ["--link", "K2,K1"] if command in with_link else []
+        assert run_command([command, hopf_path, *link, *rest]) == 0
+        assert loads == [hopf_path], command
+        assert stages == ([["K2", "K1"]] if command in with_link else []), command
+    capsys.readouterr()
 
 
 def test_fuzz_exit_codes(capsys):

@@ -124,3 +124,53 @@ def test_linking_symmetry_checks_the_order_against_the_smith_diagonal(monkeypatc
     assert man.h1.order() == 10 and man.h1.invariant_factors == (5,)
     results = check_trial(man, random.Random(0), FuzzConfig(trials=1, seed=0))
     assert {name: status for name, status, _ in results}["linking-symmetry"] == "fail"
+
+
+def test_shrink_candidates_drop_one_component_or_move_one_entry_with_its_mirror():
+    from idelink.fuzz import _shrink_candidates
+    from idelink.presentation import SurgeryPresentation
+
+    rows = {"surgery": [[3, 1], [1, 2]], "lk_with_surgery": [[2, -1], [0, 3]], "lk_mutual": [[0, -2], [-2, 0]]}
+    p = SurgeryPresentation.build(["L1", "L2"], rows["surgery"], ["K1", "K2"], rows["lk_with_surgery"], rows["lk_mutual"])
+    candidates = list(_shrink_candidates(p))
+    # 2 dropped surgery components, 2 dropped knots, then the moves toward zero:
+    # Lambda 3 -> 0, 1, 2; 1 -> 0; 2 -> 0, 1; lk_with_surgery 2 -> 0, 1; -1 -> 0; 3 -> 0, 1, 2; lk_mutual -2 -> 0, -1
+    assert len(candidates) == 18
+
+    def sub(m, keep_rows, keep_cols):
+        return [[m[i][j] for j in keep_cols] for i in keep_rows]
+
+    drops, moves = [], []
+    for c in candidates:
+        load_and_validate(c)  # every candidate stays a rational homology sphere here
+        got = {
+            "surgery": c.surgery_matrix.to_rows(),
+            "lk_with_surgery": c.lk_with_surgery.to_rows(),
+            "lk_mutual": c.lk_mutual.to_rows(),
+        }
+        if c.surgery_names != p.surgery_names or c.knot_names != p.knot_names:
+            s_keep = [i for i, n in enumerate(p.surgery_names) if n in c.surgery_names]
+            k_keep = [i for i, n in enumerate(p.knot_names) if n in c.knot_names]
+            assert len(s_keep) + len(k_keep) == 3  # exactly one component gone
+            assert got == {
+                "surgery": sub(rows["surgery"], s_keep, s_keep),
+                "lk_with_surgery": sub(rows["lk_with_surgery"], k_keep, s_keep),
+                "lk_mutual": sub(rows["lk_mutual"], k_keep, k_keep),
+            }
+            drops.append(c)
+            continue
+        changed = {
+            (name, i, j)
+            for name, m in rows.items()
+            for i, row in enumerate(m)
+            for j, v in enumerate(row)
+            if got[name][i][j] != v
+        }
+        (name,) = {cell[0] for cell in changed}  # one matrix changed
+        i, j = min((i, j) for _, i, j in changed)
+        # one entry, and in the symmetric Lambda and lk_mutual its mirror too
+        assert changed == ({(name, i, j)} if name == "lk_with_surgery" else {(name, i, j), (name, j, i)})
+        old, new = rows[name][i][j], got[name][i][j]
+        assert abs(new) < abs(old) and new * old >= 0
+        moves.append(c)
+    assert len(drops) == 4 and len(moves) == 14
