@@ -17,9 +17,11 @@ with n * x in the relation span.
 Every group's invariant factors come from one Hermite/Smith reduction
 modulo a maximal minor: ``rank_and_minor`` gives the rank r of the
 relations and a nonzero r x r minor D, a multiple of every nonzero
-invariant factor, so the first r entries of ``smith_diagonal_mod`` on the
-relations and D are those factors. A finite group (r = g) has ``modulus``
-D, which for a square presentation is its order.
+invariant factor, so the first r entries of the Smith diagonal of the
+relations plus D * Z^g, reduced mod D, are those factors. The Hermite basis
+of that lattice (``hermite_basis``) is cached, and ``invariant_factors``
+reads its Smith diagonal. A finite group (r = g) has ``modulus`` D, which
+for a square presentation is its order.
 
 Both come from the one elimination in ``linalg``, and a group whose
 relations lead with ones already eliminated inherits that work: a finite
@@ -39,11 +41,12 @@ from .errors import BadDimensions, json_int
 from .linalg import (
     IntMatrix,
     block_solve,
+    hermite_basis_mod,
+    hermite_smith_diagonal,
     hstack,
     leading_block_inverse,
     preimage_lattice,
     rank_and_minor,
-    smith_diagonal_mod,
 )
 
 __all__ = [
@@ -91,10 +94,22 @@ class FgAbelianGroup:
         return d if rank == self.generator_count else None
 
     @cached_property
+    def hermite_basis(self) -> list[list[int]]:
+        """Canonical Hermite row basis of the relation lattice plus D * Z^generator_count.
+
+        D is the cached maximal minor, so for a finite group this is the
+        relation lattice itself: an upper triangular basis whose pivots
+        multiply to the group order. ``invariant_factors`` reads its Smith
+        diagonal, so a caller that needs both pays for one Hermite reduction.
+        """
+        _, d = self._rank_and_minor
+        rel = self.relations
+        return hermite_basis_mod([rel.column(j) for j in range(rel.cols)], self.generator_count, d)
+
+    @cached_property
     def invariant_factors(self) -> tuple[int, ...]:
         rank, d = self._rank_and_minor
-        rel = self.relations
-        nonzero = smith_diagonal_mod([rel.column(j) for j in range(rel.cols)], self.generator_count, d)[:rank]
+        nonzero = hermite_smith_diagonal(self.hermite_basis, d)[:rank]
         return tuple(x for x in nonzero if x != 1) + (0,) * (self.generator_count - rank)
 
     def order(self) -> int | None:

@@ -2,10 +2,11 @@
 
 Every error the library can raise on user input carries a distinct ``code``
 string; the command line interface emits it as ``{"error": code, ...}`` and
-exits with status 2. ``TooLarge`` is the command line's own: it reports an
-answer with an integer too long for the interpreter to print. ``json_int`` is
-the one integer check at the JSON input boundary, so a float, a bool or a
-numeric string is refused, never truncated.
+exits with status 2. ``TooLarge`` reports a request past a documented size
+limit (the fuzz harness's ``max_surgery`` and ``max_link``) and, on the
+command line, an answer with an integer too long for the interpreter to
+print. ``json_int`` is the one integer check at the JSON input boundary, so
+a float, a bool or a numeric string is refused, never truncated.
 """
 
 
@@ -100,7 +101,7 @@ class BadInput(IdelinkError):
 
 
 class TooLarge(IdelinkError):
-    """An answer holds an integer longer than ``sys.get_int_max_str_digits()`` allows to print."""
+    """A request past a size limit, or an answer longer than ``sys.get_int_max_str_digits()`` allows to print."""
 
     code = "too_large"
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from math import gcd, prod
 
 from .covers import decomposition_data, global_symbol, kummer_cover, local_symbol, make_cover
-from .errors import BadInput, DivisorNotPrincipal, IdelinkError
+from .errors import BadInput, DivisorNotPrincipal, IdelinkError, TooLarge
 from .ideles import (
     Divisor,
     Idele,
@@ -56,6 +56,11 @@ PROPERTY_NAMES = (
 
 _CORRUPT_CHOICES = (None, "pairing")
 
+# the largest s = r at which every CLI subcommand has been timed (3.2 s for one
+# call of each, in process, on a 2-vCPU VM); a larger max_surgery or max_link
+# is refused before any draw, instead of hanging on the first huge instance
+MAX_SIZE = 64
+
 
 @dataclass(frozen=True)
 class FuzzConfig:
@@ -75,6 +80,9 @@ class FuzzConfig:
         for name in ("max_surgery", "max_link", "entry_bound", "coeff_bound"):
             if getattr(self, name) < 1:
                 raise BadInput(f"{name} must be at least 1")
+        for name in ("max_surgery", "max_link"):
+            if getattr(self, name) > MAX_SIZE:
+                raise TooLarge(f"{name} must be at most {MAX_SIZE}")
         if self.corrupt not in _CORRUPT_CHOICES:
             raise BadInput(f"corrupt must be one of {_CORRUPT_CHOICES[1:]}")
 

@@ -9,6 +9,16 @@ corrections are forced because the surgery matrix is nonsingular. Every
 principal idele arises this way, so the kernel-equals-boundary-image
 equality is checked in both directions by the tests rather than assumed.
 
+The idele class group of a stage L with l knots is the image of rho, and it
+is Z^l + (G cap G^perp): G is the subgroup of H1(M) generated by the knot
+classes of L, and perp is taken for the linking form (u, v) -> u Lambda^-1 v
+mod 1. So the class group is computed in H1(M)'s s coordinates, from the
+Hermite basis W of G~ = span(ell_K) + Lambda Z^s that the cokernel H1(M)/G
+also reads; every torsion step runs modulo c = |H1(M)/G|, the product of W's
+pivots. On an admissible stage G is all of H1(M), so c = 1 and the torsion
+is trivial with no elimination. ``principal_lattice_basis`` still takes the
+kernel of the peripheral table.
+
 The global pairing of two ideles is the sum over knots of the local
 intersection numbers; reciprocity (vanishing on principal pairs) is
 verified exactly by the test-suite and the fuzz harness.
@@ -17,10 +27,11 @@ verified exactly by the test-suite and the fuzz harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from .abelian import GroupElement, subgroup_invariant_factors
+from .abelian import GroupElement
 from .errors import BadInput, DivisorNotPrincipal, SupportOutsideLink, json_int
-from .linalg import preimage_lattice
+from .linalg import IntMatrix, hermite_basis_mod, hermite_coordinates, preimage_lattice, smith_diagonal_mod
 from .local import ComplementHomology, PeripheralClass, local_intersection
 
 __all__ = [
@@ -227,24 +238,52 @@ def principal_lattice_basis(comp: ComplementHomology) -> list[Idele]:
     return [_idele_from_pairs(comp.link, row) for row in basis]
 
 
+def _radical_invariants(lam: IntMatrix, w: list[list[int]]) -> tuple[int, ...]:
+    """Invariant factors of T = G cap G^perp in H1(M) = Z^s / Lambda Z^s.
+
+    ``w`` is the Hermite basis (rows) of G~ = span(ell_K) + Lambda Z^s, and
+    c = prod diag W = |H1(M)/G|. U = Lambda W^-1 is integral, as Lambda's
+    rows lie in G~, and G^perp = U Z^s / Lambda Z^s, which a -> U a
+    identifies with Z^s / W Z^s. T is the kernel of a -> U a from Z^s / W Z^s
+    to H1(M)/G = Z^s / W^T Z^s. Both have order c, so every step runs mod c.
+    """
+    s = len(w)
+    c = prod(w[i][i] for i in range(s))
+    if c == 1:
+        return ()
+    # c Z^s lies in W^T Z^s, so only U mod c matters
+    u = [[x % c for x in hermite_coordinates(w, lam.row(i))] for i in range(s)]
+    # U a lies in W^T Z^s iff V a = 0 mod c, with V = c W^-T U integral (c W^-1 is W's adjugate);
+    # so P = {a : U a in W^T Z^s} is the tail block of the Hermite basis of (V^T | I) + c Z^2s
+    v_columns = [hermite_coordinates(w, [c * row[i] for row in u]) for i in range(s)]
+    gens = [col + [int(t == i) for t in range(s)] for i, col in enumerate(v_columns)]
+    p = [row[s:] for row in hermite_basis_mod(gens, 2 * s, c)[s:]]
+    # T = P / W Z^s, presented by W's columns written in P's basis
+    diagonal = smith_diagonal_mod([hermite_coordinates(p, col) for col in zip(*w)], s, c)
+    return tuple(x for x in diagonal if x != 1)
+
+
 def idele_class_group(comp: ComplementHomology) -> ClassGroupData:
     """Invariant factors of ideles mod principal ideles, and of coker(rho).
 
     Principal ideles are the kernel of rho, so the class group is rho's
     image: the subgroup of H1(M - L) generated by the peripheral classes.
+    That image is Z^l + T with T = G cap G^perp, as the module docstring
+    says, so its invariant factors are T's followed by l zeros.
+
     coker(rho) is H1(M - L) modulo every meridian and reference longitude of
     L. Killing the meridians leaves H1(M), where each reference longitude
-    becomes its knot's class, so the cokernel is H1(M) modulo the classes of
-    L: the group ``Manifold.generates_h1`` asks about, with the modulus
-    |det Lambda|.
+    becomes its knot's class, so the cokernel is H1(M)/G: the group
+    ``Manifold.generates_h1`` asks about, with the modulus |det Lambda|. Its
+    cached Hermite basis is that of G~, which the torsion reads too. An
+    admissible stage has G = H1(M), so c = |coker| = 1 and T = 0.
     """
-    peripheral = comp.peripheral_matrix()
-    class_invariants = subgroup_invariant_factors(comp.group, map(peripheral.column, range(peripheral.cols)))
     man = comp.manifold
     coker = man.h1.quotient(man.knot_class(k).coords for k in comp.link)
+    torsion = _radical_invariants(man.surgery_matrix, coker.hermite_basis)
     return ClassGroupData(
         link=comp.link,
-        class_invariants=class_invariants,
+        class_invariants=torsion + (0,) * len(comp.link),
         coker_invariants=coker.invariant_factors,
     )
 

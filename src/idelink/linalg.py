@@ -32,8 +32,11 @@ nonzero invariant factors d_1 ... d_r, so the lattice of its columns plus
 D * Z^n has Smith diagonal (d_1, ..., d_r, D, ..., D). ``smith_diagonal_mod``
 computes that diagonal from a Hermite basis modulo D and a transform-free
 Smith reduction of that triangular basis, every entry kept below D
-(Domich-Kannan-Trotter; Hafner-McCurley). ``smith_normal_form`` remains for
-callers that read its transforms.
+(Domich-Kannan-Trotter; Hafner-McCurley). ``hermite_basis_mod`` and
+``hermite_smith_diagonal`` are its two halves, for a caller that keeps the
+basis, and ``hermite_coordinates`` writes a lattice vector in that basis by
+back-substitution. ``smith_normal_form`` remains for callers that read its
+transforms.
 """
 
 from __future__ import annotations
@@ -380,7 +383,7 @@ def _fraction_free_nullspace(a: IntMatrix) -> tuple[list[int], list[int], list[l
     return free, sorted(found), m, abs(den)
 
 
-def _hermite_basis_mod(rows: list, width: int, d: int) -> list[list[int]]:
+def hermite_basis_mod(rows: list, width: int, d: int) -> list[list[int]]:
     """Canonical Hermite basis of span(rows) + d * Z^width, reduced mod d throughout.
 
     The lattice holds d * Z^width, so every entry can be kept in [0, d)
@@ -443,7 +446,7 @@ def smith_diagonal_mod(rows: list, width: int, d: int) -> list[int]:
     """Smith diagonal of the lattice span(rows) + d * Z^width, computed mod d.
 
     The lattice holds d * Z^width, so its Smith form can be taken on the
-    Hermite basis from ``_hermite_basis_mod`` with every entry reduced mod d
+    Hermite basis from ``hermite_basis_mod`` with every entry reduced mod d
     (Hafner-McCurley; Cohen, Alg. 2.4.14): a row move recombines generators
     and a column move changes the basis of Z^width, and dropping a multiple
     of d leaves the lattice unchanged. A pivot p left alone in its row and
@@ -451,7 +454,17 @@ def smith_diagonal_mod(rows: list, width: int, d: int) -> list[int]:
     ever reaches d. Returns ``width`` positive entries in divisibility order,
     each dividing d, whose product is the index of the lattice in Z^width.
     """
-    m = [[x % d for x in row] for row in _hermite_basis_mod(rows, width, d)]
+    return hermite_smith_diagonal(hermite_basis_mod(rows, width, d), d)
+
+
+def hermite_smith_diagonal(basis: list, d: int) -> list[int]:
+    """``smith_diagonal_mod`` of a lattice given by its basis from ``hermite_basis_mod`` with the same d.
+
+    A caller that keeps that basis (``FgAbelianGroup.hermite_basis``) reads
+    its Smith diagonal here without a second Hermite pass.
+    """
+    width = len(basis)
+    m = [[x % d for x in row] for row in basis]
     diagonal = []
     for t in range(width):
         while True:
@@ -499,6 +512,21 @@ def smith_diagonal_mod(rows: list, width: int, d: int) -> list[int]:
     return diagonal
 
 
+def hermite_coordinates(basis: list, v) -> list[int]:
+    """The integer x with ``x @ basis = v``, for a square upper triangular ``basis``.
+
+    Back-substitution, one column at a time, with every division checked
+    exact: ArithmeticError when v does not lie in the row lattice of the basis.
+    """
+    x: list[int] = []
+    for j, row in enumerate(basis):
+        q, rem = divmod(v[j] - sum(t * b[j] for t, b in zip(x, basis)), row[j])
+        if rem:
+            raise ArithmeticError("vector does not lie in the row lattice of the Hermite basis")
+        x.append(q)
+    return x
+
+
 def integer_kernel(a: IntMatrix) -> IntMatrix:
     """Hermite basis of {x : a @ x = 0} over the integers, as matrix columns.
 
@@ -517,7 +545,7 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     k, p = len(free), len(pivots)
     gens = [m[i] + [1 if j == i else 0 for j in range(k)] for i in range(k)]
     cols = []
-    for row in _hermite_basis_mod(gens, p + k, den)[p:]:
+    for row in hermite_basis_mod(gens, p + k, den)[p:]:
         y = row[p:]
         x = [0] * a.cols
         for f, t in zip(free, y):

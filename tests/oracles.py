@@ -4,7 +4,9 @@ The library answers lattice questions through ``linalg.preimage_lattice``
 and ``linalg.smith_diagonal_mod``; these plain integer eliminations are
 kept here as independent references for them: a Hermite row basis by
 repeated extended-gcd row moves, reduction of a vector against such a
-basis, and a rational solve by Fraction Gauss-Jordan.
+basis, and a rational solve by Fraction Gauss-Jordan. The idele class group
+is checked against the route it replaced: the subgroup of H1(M - L)
+generated by the peripheral table, a kernel of width 2l + s.
 """
 
 from fractions import Fraction
@@ -84,3 +86,19 @@ def fraction_solve(rows, rhs):
             if r != c and aug[r][c]:
                 aug[r] = [v - aug[r][c] * w for v, w in zip(aug[r], aug[c])]
     return [row[n] for row in aug]
+
+
+def peripheral_class_group(comp) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(class invariants, cokernel invariants) of a stage through the peripheral kernel.
+
+    The class group is the image of rho, the subgroup of H1(M - L) that the
+    peripheral table's columns generate; the cokernel is H1(M) modulo the
+    stage's knot classes.
+    """
+    from idelink.abelian import subgroup_invariant_factors
+
+    peripheral = comp.peripheral_matrix()
+    class_invariants = subgroup_invariant_factors(comp.group, map(peripheral.column, range(peripheral.cols)))
+    man = comp.manifold
+    coker = man.h1.quotient(man.knot_class(k).coords for k in comp.link)
+    return class_invariants, coker.invariant_factors

@@ -138,6 +138,7 @@ def test_h1_commands_read_one_inverse_each_and_no_smith_form(capsys, tmp_path, m
     path = tmp_path / "m.json"
     path.write_text(json.dumps(presentation_to_dict(man.presentation)))
     calls = {"inverse": 0, "kernel": 0}
+    kernel_widths = []
     real_inverse, real_kernel = linalg.leading_block_inverse, linalg.integer_kernel
 
     def inverse(a):
@@ -146,6 +147,7 @@ def test_h1_commands_read_one_inverse_each_and_no_smith_form(capsys, tmp_path, m
 
     def kernel(a):
         calls["kernel"] += 1
+        kernel_widths.append(a.cols)
         return real_kernel(a)
 
     for module in (abelian, linalg):
@@ -159,8 +161,9 @@ def test_h1_commands_read_one_inverse_each_and_no_smith_form(capsys, tmp_path, m
     order = out["knots"]["K1"]["order"]
     assert run(capsys, "class-group", str(path))[0] == 0
     assert calls["inverse"] == 1  # the cokernel needs only |det Lambda|
-    assert calls["kernel"] > 0  # class-group takes the principal lattice
-    assert smith_inputs == []  # whose invariant factors come modulo a maximal minor too
+    s, l = len(man.surgery_names), len(man.knot_names)
+    assert 2 * l + s not in kernel_widths  # class-group takes no kernel of the peripheral table
+    assert smith_inputs == []  # and no Smith form: invariant factors come modulo a maximal minor
     assert run(capsys, "kummer", str(path), "--divisor", f"K1={order}", "--n", "3")[0] == 0
     assert calls["inverse"] == 2  # the 2-chain solve
     assert smith_inputs == []
@@ -404,6 +407,13 @@ def test_fuzz_exit_codes(capsys):
     assert code == 1
     assert out["failing_trials"] > 0
     assert out["first_failure"]["property"] == "pairing-reciprocity"
+
+
+@pytest.mark.parametrize("flag", ["--max-surgery", "--max-link"])
+def test_fuzz_past_the_size_limit_is_too_large_before_any_draw(capsys, flag):
+    code, out = run(capsys, "fuzz", "--trials", "0", flag, "1000000")
+    assert (code, out["error"]) == (2, "too_large")
+    assert run(capsys, "fuzz", "--trials", "0", flag, "64")[0] == 0
 
 
 def test_fuzz_stdout_is_byte_identical_across_processes():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from idelink.errors import BadInput
+from idelink.errors import BadInput, TooLarge
 from idelink.fuzz import PROPERTY_NAMES, FuzzConfig, check_trial, fuzz_suite
 from idelink.presentation import load_and_validate, presentation_from_dict
 
@@ -21,6 +21,14 @@ def test_config_validation():
         FuzzConfig(trials=1, seed=0, entry_bound=0)
     with pytest.raises(BadInput):
         FuzzConfig(trials=1, seed=0, corrupt="bogus")
+
+
+def test_config_refuses_sizes_past_the_limit():
+    FuzzConfig(trials=1, seed=0, max_surgery=64, max_link=64)
+    for field in ("max_surgery", "max_link"):
+        for size in (65, 1_000_000):
+            with pytest.raises(TooLarge, match=field):
+                FuzzConfig(trials=1, seed=0, **{field: size})
 
 
 def test_zero_trials_is_an_empty_report():

@@ -21,7 +21,7 @@ from idelink.linalg import IntMatrix, smith_normal_form
 from idelink.local import PeripheralClass, complement_homology
 
 from conftest import manifold, random_manifold
-from oracles import fraction_solve, hermite_row_basis
+from oracles import fraction_solve, hermite_row_basis, peripheral_class_group
 
 
 def test_idele_normalization():
@@ -163,6 +163,73 @@ def test_class_group_data(lens5, hopf):
     data = idele_class_group(complement_homology(hopf))
     assert data.class_invariants == (0, 0)
     assert data.coker_invariants == ()
+
+
+@pytest.mark.parametrize(
+    "data, class_invariants, coker_invariants",
+    [
+        # H1 = Z/8 with the knot class 2: G = 2Z/8 has perp 4Z/8, so T = Z/2, as is coker
+        (
+            {
+                "surgery": {"components": ["L1"], "matrix": [[8]]},
+                "link": {"components": ["K"], "lk_with_surgery": [[2]], "lk_mutual": [[0]]},
+            },
+            (2, 0),
+            (2,),
+        ),
+        # knot class 4: G = 4Z/8 has order 2, G^perp = 2Z/8, so T = Z/2 while coker = Z/4
+        (
+            {
+                "surgery": {"components": ["L1"], "matrix": [[8]]},
+                "link": {"components": ["K"], "lk_with_surgery": [[4]], "lk_mutual": [[0]]},
+            },
+            (2, 0),
+            (4,),
+        ),
+        # H1 = (Z/4)^2 with knot classes 2 e_1, 2 e_2: G is its own perp, T has two factors
+        (
+            {
+                "surgery": {"components": ["L1", "L2"], "matrix": [[4, 0], [0, 4]]},
+                "link": {"components": ["J", "K"], "lk_with_surgery": [[2, 0], [0, 2]], "lk_mutual": [[0, 1], [1, 0]]},
+            },
+            (2, 2, 0, 0),
+            (2, 2),
+        ),
+        # the 3-sphere (s = 0): every stage is admissible and the class group is free
+        (
+            {
+                "surgery": {"components": [], "matrix": []},
+                "link": {
+                    "components": ["A", "B", "C"],
+                    "lk_with_surgery": [[], [], []],
+                    "lk_mutual": [[0, 2, -1], [2, 0, 4], [-1, 4, 0]],
+                },
+            },
+            (0, 0, 0),
+            (),
+        ),
+    ],
+)
+def test_class_group_frozen_cases(data, class_invariants, coker_invariants):
+    comp = complement_homology(manifold(data))
+    got = idele_class_group(comp)
+    assert (got.class_invariants, got.coker_invariants) == (class_invariants, coker_invariants)
+    assert peripheral_class_group(comp) == (class_invariants, coker_invariants)
+
+
+def test_class_group_matches_the_peripheral_kernel_route():
+    rng = random.Random(1414)
+    torsion = non_admissible = 0
+    for _ in range(1000):
+        man = random_manifold(rng, 5, 5, rng.choice((2, 3, 5)))
+        link = [k for k in man.knot_names if rng.random() < 0.6] or [rng.choice(man.knot_names)]
+        comp = complement_homology(man, link)
+        data = idele_class_group(comp)
+        assert (data.class_invariants, data.coker_invariants) == peripheral_class_group(comp), (man.presentation, link)
+        torsion += data.class_invariants[0] != 0
+        non_admissible += data.coker_invariants != ()
+    assert torsion >= 50, torsion
+    assert non_admissible >= 200, non_admissible
 
 
 def test_cokernel_detects_non_admissible_stage():

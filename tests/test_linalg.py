@@ -36,8 +36,9 @@ from idelink.abelian import FgAbelianGroup
 from idelink.errors import BadInput
 from idelink.linalg import (
     IntMatrix,
-    _hermite_basis_mod,
     determinant,
+    hermite_basis_mod,
+    hermite_coordinates,
     hstack,
     integer_kernel,
     leading_block_inverse,
@@ -261,7 +262,7 @@ def test_hermite_mod_matches_hermite_of_augmented_generators(modulus):
         if gens and rng.random() < 0.3:
             gens.append([0] * width)
         scaled = [[modulus if i == j else 0 for j in range(width)] for i in range(width)]
-        assert _hermite_basis_mod(gens, width, modulus) == hermite_row_basis(gens + scaled)
+        assert hermite_basis_mod(gens, width, modulus) == hermite_row_basis(gens + scaled)
 
 
 def test_smith_diagonal_mod_frozen_examples():
@@ -297,10 +298,29 @@ def test_hermite_row_basis_matches_the_elimination_oracle():
         assert linalg.hermite_row_basis(rows) == hermite_row_basis(rows), rows
 
 
+def test_hermite_coordinates_invert_the_basis_and_refuse_other_vectors():
+    rng = random.Random(3305)
+    for _ in range(300):
+        width = rng.randint(1, 5)
+        modulus = rng.choice((1, 6, 60, 97))
+        gens = [[rng.randint(-30, 30) for _ in range(width)] for _ in range(rng.randint(0, 4))]
+        basis = hermite_basis_mod(gens, width, modulus)
+        x = [rng.randint(-9, 9) for _ in range(width)]
+        v = [sum(t * row[j] for t, row in zip(x, basis)) for j in range(width)]
+        assert hermite_coordinates(basis, v) == x
+        index = math.prod(basis[i][i] for i in range(width))
+        if index > 1:
+            # a lattice of index > 1 misses some unit vector
+            with pytest.raises(ArithmeticError):
+                for j in range(width):
+                    hermite_coordinates(basis, [int(i == j) for i in range(width)])
+    assert hermite_coordinates([], []) == []
+
+
 def test_hermite_mod_rejects_nonpositive_modulus():
     for d in (0, -3):
         with pytest.raises(ArithmeticError):
-            _hermite_basis_mod([[1, 2]], 2, d)
+            hermite_basis_mod([[1, 2]], 2, d)
 
 
 def preimage_via_rehermite(a: IntMatrix, b: IntMatrix) -> list[list[int]]:
