@@ -97,6 +97,7 @@ _EXPORTS = {
     ),
     "presentation": (
         "AdmissibilityCertificate",
+        "KnotSolution",
         "Manifold",
         "SurgeryPresentation",
         "load_and_validate",

@@ -5,12 +5,21 @@ its values on the generators (surgery meridians, then link meridians); it is
 well defined exactly when every presentation relation maps to zero. The
 target is given by its cyclic orders (n_1, ..., n_t): the cover keeps them
 and reduces values to residues mod n_i, and every group question goes to
-``target``, the FgAbelianGroup Z^t / diag(n_1, ..., n_t). The global
-symbol of an idele is the image of its reassembled class; the local symbol
-at a knot is the image of a single peripheral class. Decomposition data at
-a knot mirrors ramification theory: e is the order of the meridian image,
-e*f the order of the image of the whole boundary torus, g the index of that
-image in the target.
+``target``, the FgAbelianGroup Z^t / diag(n_1, ..., n_t). The local
+symbol at a knot is the image of a single peripheral class. The global
+symbol of an idele is the image of its reassembled class, which is the sum
+of its local symbols: x * phi(mu_K) + y * phi(lambda_K) summed over the
+idele's parts (x, y) at K, with mu_K and lambda_K the meridian and reference
+longitude. Decomposition data at a knot mirrors ramification theory: e is
+the order of the meridian image, e*f the order of the image of the whole
+boundary torus, g the index of that image in the target.
+
+A cover computes its per-knot data once: ``CoverSpec.knot_images`` keeps
+the two images of each knot on first use, and ``decomposition_data`` keeps
+each knot's (e, f, g). Both caches hold at most one entry per knot of the
+sublink; a knot outside it raises on every call. ``local_symbol`` still
+maps the peripheral class's full coordinates through ``CoverSpec.apply``, so
+the product formula compares two routes.
 
 A Kummer cover of modulus n attached to a principal divisor is the unique
 (at admissible stages) homomorphism to Z/n whose symbol computes the global
@@ -34,7 +43,7 @@ from .errors import (
 )
 from .linalg import IntMatrix
 from .local import ComplementHomology, PeripheralClass, complement_homology, local_intersection
-from .ideles import Divisor, Idele, delta_solution, idele_coords
+from .ideles import Divisor, Idele, delta_solution, require_support
 
 __all__ = [
     "CoverSpec",
@@ -73,6 +82,8 @@ class CoverSpec:
                 f"{complement.group.generator_count} generator values required, "
                 f"got {len(self.values)}"
             )
+        self._knot_images: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._decompositions: dict[str, DecompositionData] = {}
 
     @property
     def link(self) -> tuple[str, ...]:
@@ -97,11 +108,23 @@ class CoverSpec:
                     out[i] += c * v
         return self.reduce(out)
 
+    def knot_images(self, knot: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Images of the knot's meridian and reference longitude, computed on first use and kept.
+
+        Raises KnotOutsideLink on every call for a knot outside the sublink.
+        """
+        images = self._knot_images.get(knot)
+        if images is None:
+            comp = self.complement
+            images = (self.apply(comp.meridian_coords(knot)), self.apply(comp.longitude_coords(knot)))
+            self._knot_images[knot] = images
+        return images
+
     def meridian_image(self, knot: str) -> tuple[int, ...]:
-        return self.apply(self.complement.meridian_coords(knot))
+        return self.knot_images(knot)[0]
 
     def longitude_image(self, knot: str) -> tuple[int, ...]:
-        return self.apply(self.complement.longitude_coords(knot))
+        return self.knot_images(knot)[1]
 
     def is_surjective(self) -> bool:
         return self.target.quotient(self.values).is_trivial()
@@ -144,8 +167,18 @@ def make_cover(comp: ComplementHomology, orders, values) -> CoverSpec:
 
 
 def global_symbol(a: Idele, cover: CoverSpec) -> tuple[int, ...]:
-    """Image of the reassembled idele under the cover homomorphism."""
-    return cover.apply(idele_coords(cover.complement, a))
+    """Image of the reassembled idele under the cover homomorphism.
+
+    The sum over the idele's parts (x, y) at K of x * phi(mu_K) + y * phi(lambda_K),
+    read off the cover's cached knot images. Raises SupportOutsideLink when
+    the idele has a part outside the cover's sublink.
+    """
+    require_support(cover.link, a.support)
+    total = [0] * len(cover.orders)
+    for k, x, y in a.parts:
+        mu, l0 = cover.knot_images(k)
+        total = [v + x * m + y * g for v, m, g in zip(total, mu, l0)]
+    return cover.reduce(total)
 
 
 def local_symbol(a: PeripheralClass, cover: CoverSpec) -> tuple[int, ...]:
@@ -172,18 +205,22 @@ class DecompositionData:
 
 
 def decomposition_data(cover: CoverSpec, knot: str) -> DecompositionData:
-    if knot not in cover.link:
-        raise KnotOutsideLink(f"knot {knot!r} is outside the cover's sublink")
-    mu = cover.meridian_image(knot)
-    l0 = cover.longitude_image(knot)
-    target = cover.target
-    e = element_order(target.element(mu))
-    g = target.quotient([mu, l0]).order()
-    return DecompositionData(
-        ramification_index=e,
-        residue_degree=target.order() // g // e,
-        component_count=g,
-    )
+    """(e, f, g) of the knot in the cover, computed on first use and kept by the cover."""
+    data = cover._decompositions.get(knot)
+    if data is None:
+        if knot not in cover.link:
+            raise KnotOutsideLink(f"knot {knot!r} is outside the cover's sublink")
+        mu, l0 = cover.knot_images(knot)
+        target = cover.target
+        e = element_order(target.element(mu))
+        g = target.quotient([mu, l0]).order()
+        data = DecompositionData(
+            ramification_index=e,
+            residue_degree=target.order() // g // e,
+            component_count=g,
+        )
+        cover._decompositions[knot] = data
+    return data
 
 
 @dataclass(frozen=True)

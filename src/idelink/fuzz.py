@@ -20,6 +20,7 @@ import time
 from dataclasses import asdict, dataclass
 from math import gcd, prod
 
+from .abelian import element_order
 from .covers import decomposition_data, global_symbol, kummer_cover, local_symbol, make_cover
 from .errors import BadInput, DivisorNotPrincipal, IdelinkError, TooLarge
 from .ideles import (
@@ -348,10 +349,11 @@ def check_trial(man: Manifold, rng: random.Random, cfg: FuzzConfig) -> list[tupl
     ok_long = True
     for k in link:
         ld = preferred_longitude(man, k)
-        n_k = man.knot_order(k)
+        # the order through the generic element route, not the solve the longitude reads
+        n_k = element_order(man.knot_class(k))
         comp_k = complement_homology(man, (k,))
         ok_long = ok_long and comp_k.class_of(ld.lambda_class).is_zero()
-        ok_long = ok_long and valuation(ld.lambda_class) % n_k == 0
+        ok_long = ok_long and valuation(ld.lambda_class) == n_k
         ok_long = ok_long and ld.index == ld.lambda_class.longitude and ld.index >= 1
         ok_long = ok_long and ld.is_basis == (ld.index == 1)
     rec("longitude-kernel", ok_long, None)

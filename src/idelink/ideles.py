@@ -197,28 +197,29 @@ def delta_solution(comp: ComplementHomology, divisor: Divisor) -> tuple[list[int
 
     Returns (t, idele). With ell_K the surgery half of K's reference
     longitude (``comp.longitude_coords``), t solves
-    surgery_matrix @ t = sum_K d_K ell_K, read off the cached inverse of
-    H1(M)'s relations (Lambda @ n = den * I, so t = n @ rhs / den). The
+    surgery_matrix @ t = sum_K d_K ell_K. The cached inverse of H1(M)'s
+    relations (Lambda @ N = den * I) gives t = N @ rhs / den, and
+    N @ rhs = sum_K d_K t_K is read off each knot's cached solve
+    (``Manifold.knot_solution``), so no mat-vec is repeated. The
     meridian coefficient at K is K's whole reference longitude read against
     (t, -d): ell_K . t - sum_{K' != K} lk(K, K') d_{K'}. Raises
     DivisorNotPrincipal when the divisor class is nonzero in H1(M), that is
     when that quotient is not integral.
     """
     require_support(comp.link, divisor.support)
-    n, den = comp.manifold.h1.block_inverse
-    d = [divisor.coefficient(k) for k in comp.link]
-    longitudes = [comp.longitude_coords(k) for k in comp.link]
-    rhs = [0] * n.cols
-    for c, row in zip(d, longitudes):
-        rhs = [r + c * x for r, x in zip(rhs, row)]
-    scaled = n.mul_vector(rhs)
+    man = comp.manifold
+    den = man.h1.block_inverse[1]
+    scaled = [0] * len(man.surgery_names)
+    for k, c in divisor.parts:
+        scaled = [x + c * y for x, y in zip(scaled, man.knot_solution(k).t)]
     if any(x % den for x in scaled):
         raise DivisorNotPrincipal(
             "the divisor's class in H1(M) is nonzero, so no 2-chain bounds it"
         )
     t = [x // den for x in scaled]
+    d = [divisor.coefficient(k) for k in comp.link]
     against = t + [-c for c in d]
-    parts = {k: (sum(x * v for x, v in zip(row, against)), c) for k, row, c in zip(comp.link, longitudes, d)}
+    parts = {k: (sum(x * v for x, v in zip(comp.longitude_coords(k), against)), c) for k, c in zip(comp.link, d)}
     return t, Idele.of(parts)
 
 
@@ -274,12 +275,12 @@ def idele_class_group(comp: ComplementHomology) -> ClassGroupData:
     coker(rho) is H1(M - L) modulo every meridian and reference longitude of
     L. Killing the meridians leaves H1(M), where each reference longitude
     becomes its knot's class, so the cokernel is H1(M)/G: the group
-    ``Manifold.generates_h1`` asks about, with the modulus |det Lambda|. Its
+    ``Manifold.knot_quotient`` builds, with the modulus |det Lambda|. Its
     cached Hermite basis is that of G~, which the torsion reads too. An
     admissible stage has G = H1(M), so c = |coker| = 1 and T = 0.
     """
     man = comp.manifold
-    coker = man.h1.quotient(man.knot_class(k).coords for k in comp.link)
+    coker = man.knot_quotient(comp.link)
     torsion = _radical_invariants(man.surgery_matrix, coker.hermite_basis)
     return ClassGroupData(
         link=comp.link,

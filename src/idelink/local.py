@@ -34,15 +34,16 @@ numbers of K with the surgery link and t = N ell_K^T,
     o_K = den / gcd(den, t),    lambda_K = (o_K * ell_K . t / den, o_K),
 
 that is o_K times the rational kernel class (ell_K Lambda^-1 ell_K^T, 1),
-o_K being the least multiple that makes it integral. So every knot shares
-one inverse with ``Manifold.knot_order``, and no one-knot complement or
-integer kernel is built.
+o_K being the least multiple that makes it integral. t and o_K are the
+manifold's one solve per knot, ``Manifold.knot_solution``, computed on first
+use and kept: ``Manifold.knot_order``, ``preferred_longitude`` and the
+divisor map ``ideles.delta_solution`` all read it, so a knot costs one
+mat-vec per manifold, and no one-knot complement or integer kernel is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .abelian import FgAbelianGroup, GroupElement
 from .errors import KnotOutsideLink, MismatchedKnot
@@ -198,11 +199,10 @@ def preferred_longitude(manifold: Manifold, knot: str) -> LongitudeData:
     fail to be primitive in the full peripheral lattice when the knot class
     has torsion order > 1; it always generates the kernel exactly.
     """
+    solved = manifold.knot_solution(knot)
     ell = manifold.presentation.lk_with_surgery.row(manifold.knot_index(knot))
-    n, den = manifold.h1.block_inverse
-    t = n.mul_vector(ell)
-    y = den // gcd(den, *t)
-    x, rem = divmod(y * sum(a * b for a, b in zip(ell, t)), den)
+    y = solved.order
+    x, rem = divmod(y * sum(a * b for a, b in zip(ell, solved.t)), solved.den)
     if rem:
         raise ArithmeticError(f"meridian coefficient of the longitude of {knot!r} is not an integer")
     return LongitudeData(lambda_class=PeripheralClass(knot, x, y), index=y, is_basis=(y == 1))

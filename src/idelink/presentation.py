@@ -13,13 +13,22 @@ Conventions fixed here and used by every downstream module:
 * The class of a knot K in H1(M) is sum_j lk(K, L_j) * m_j.
 * The surgery-corrected linking number of disjoint knots J, K is
   lk(J, K) - ell_J Lambda^{-1} ell_K^T, an exact rational number.
+
+Per-knot data is computed once. ``Manifold.knot_solution`` solves
+Lambda t = den * ell_K^T on the cached fraction-free inverse (N, den) of
+Lambda, so t_K = N ell_K^T, and keeps t_K with the order
+den / gcd(den, t_K) of [K] per knot name. ``knot_order``, the preferred
+longitude (``local``) and the divisor map (``ideles``) all read it, so a
+knot costs one mat-vec per manifold. An unknown name raises on every call;
+nothing is cached for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .abelian import FgAbelianGroup, GroupElement, element_order, subgroup_invariant_factors
+from .abelian import FgAbelianGroup, GroupElement
 from .errors import (
     AsymmetricMatrix,
     BadDimensions,
@@ -31,12 +40,20 @@ from .errors import (
     json_int,
     json_names,
 )
-from .linalg import IntMatrix, smith_normal_form, solve_each_mod_subgroup, solve_rational
+from .linalg import (
+    IntMatrix,
+    hermite_coordinates,
+    smith_diagonal_mod,
+    smith_normal_form,
+    solve_each_mod_subgroup,
+    solve_rational,
+)
 
 __all__ = [
     "SurgeryPresentation",
     "Manifold",
     "AdmissibilityCertificate",
+    "KnotSolution",
     "load_and_validate",
     "presentation_from_dict",
     "presentation_to_dict",
@@ -129,6 +146,19 @@ class AdmissibilityCertificate:
         return self.admissible
 
 
+@dataclass(frozen=True)
+class KnotSolution:
+    """The solve of one knot against the cached inverse (N, den) of Lambda.
+
+    ``t`` is N ell_K^T, so Lambda t = den * ell_K^T, and ``order`` is
+    den / gcd(den, t), the order of the knot's class in H1(M).
+    """
+
+    t: tuple[int, ...]
+    den: int
+    order: int
+
+
 class Manifold:
     """A validated rational homology sphere with its marked link.
 
@@ -143,6 +173,7 @@ class Manifold:
         self._knot_index = {k: i for i, k in enumerate(self.knot_names)}
         # relation j of H1(M) is row j of the surgery matrix, which is symmetric
         self.h1 = FgAbelianGroup(len(self.surgery_names), presentation.surgery_matrix)
+        self._knot_solutions: dict[str, KnotSolution] = {}
 
     @property
     def surgery_matrix(self) -> IntMatrix:
@@ -171,11 +202,24 @@ class Manifold:
         i = self.knot_index(name)
         return self.h1.element(self.presentation.lk_with_surgery.row(i))
 
+    def knot_solution(self, name: str) -> KnotSolution:
+        """t_K = N ell_K^T and the order of [K], computed on the first call for the knot and kept.
+
+        (N, den) is ``h1.block_inverse``, so Lambda t_K = den * ell_K^T and
+        [K] = t_K / den in Lambda^-1 Z^s / Z^s. Raises UnknownKnot on every
+        call for an undeclared name.
+        """
+        solved = self._knot_solutions.get(name)
+        if solved is None:
+            ell = self.presentation.lk_with_surgery.row(self.knot_index(name))
+            n, den = self.h1.block_inverse
+            t = n.mul_vector(ell)
+            solved = self._knot_solutions[name] = KnotSolution(t, den, den // gcd(den, *t))
+        return solved
+
     def knot_order(self, name: str) -> int:
-        order = element_order(self.knot_class(name))
-        if order is None:
-            raise ArithmeticError(f"class of {name!r} has infinite order in a finite H1(M)")
-        return order
+        """Order of the knot's class in H1(M), read off ``knot_solution``."""
+        return self.knot_solution(name).order
 
     def linking_number(self, a: str, b: str) -> Fraction:
         """Exact rational linking number of two distinct marked knots in M."""
@@ -196,22 +240,41 @@ class Manifold:
         """Do the marked knot classes generate H1(M)? Returns a certificate."""
         return self.admissibility_of(self.knot_names)
 
+    def knot_quotient(self, link) -> FgAbelianGroup:
+        """H1(M) modulo the subgroup G that a sublink's knot classes generate.
+
+        Its cached ``hermite_basis`` W is the Hermite basis of
+        span(ell_K) + Lambda Z^s, the lattice whose quotient by Lambda Z^s is G.
+        """
+        return self.h1.quotient(self.knot_class(k).coords for k in self.sublink(link))
+
     def generates_h1(self, link) -> bool:
         """Certificate-free version of admissibility for a sublink's classes."""
-        classes = [self.knot_class(k).coords for k in self.sublink(link)]
-        return self.h1.quotient(classes).is_trivial()
+        return self.knot_quotient(link).is_trivial()
 
     def admissibility_of(self, link) -> AdmissibilityCertificate:
-        """Certificate for the subgroup of H1(M) generated by a sublink's classes."""
+        """Certificate for the subgroup of H1(M) generated by a sublink's classes.
+
+        When the classes miss part of H1(M), G is read off the Hermite basis W
+        of ``knot_quotient``, whose rows span G~ = span(ell_K) + Lambda Z^s.
+        Lambda's rows lie in G~, so Lambda = U W with U integral, and
+        G = G~ / Lambda Z^s is Z^s / U^T Z^s: its invariant factors are the
+        Smith diagonal of U's rows modulo |G| = |det Lambda| / |H1(M)/G|.
+        No kernel of the knot classes is taken.
+        """
         link = self.sublink(link)
         s = len(self.surgery_names)
-        class_vectors = [list(self.presentation.lk_with_surgery.row(self.knot_index(k))) for k in link]
-        if not self.generates_h1(link):
+        coker = self.knot_quotient(link)
+        if not coker.is_trivial():
+            w = coker.hermite_basis
+            u = [hermite_coordinates(w, row) for row in self.surgery_matrix.to_rows()]
+            factors = smith_diagonal_mod(u, s, self.h1.modulus // coker.order())
             return AdmissibilityCertificate(
                 admissible=False,
                 expressions=None,
-                subgroup_factors=subgroup_invariant_factors(self.h1, class_vectors),
+                subgroup_factors=tuple(x for x in factors if x != 1),
             )
+        class_vectors = [list(self.presentation.lk_with_surgery.row(self.knot_index(k))) for k in link]
         rel = self.h1.relations
         snf = smith_normal_form(rel)
         # column i of U^-1 generates the i-th invariant factor, and U @ rel @ V = D

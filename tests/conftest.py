@@ -42,6 +42,32 @@ def record_smith_forms(monkeypatch) -> list:
     return inputs
 
 
+def count_linear_algebra(monkeypatch) -> dict:
+    """Counts of mat-vecs, element orders and group constructions from here on.
+
+    ``element_order`` is counted under each name the package binds it to.
+    """
+    from idelink import abelian, covers, fuzz
+    from idelink.abelian import FgAbelianGroup
+    from idelink.linalg import IntMatrix
+
+    counts = {"mul_vector": 0, "element_order": 0, "FgAbelianGroup": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(IntMatrix, "mul_vector", counting("mul_vector", IntMatrix.mul_vector))
+    monkeypatch.setattr(FgAbelianGroup, "__init__", counting("FgAbelianGroup", FgAbelianGroup.__init__))
+    order = counting("element_order", abelian.element_order)
+    for module in (abelian, covers, fuzz):
+        monkeypatch.setattr(module, "element_order", order)
+    return counts
+
+
 def manifold(data) -> Manifold:
     return load_and_validate(presentation_from_dict(data))
 

@@ -1,6 +1,7 @@
 """Finite abelian covers: symbols, the product formula, decomposition, Kummer theory."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -21,11 +22,13 @@ from idelink.errors import (
     CoverIllDefined,
     KnotOutsideLink,
     NotAdmissible,
+    SupportOutsideLink,
 )
-from idelink.ideles import Divisor, Idele, delta_from_divisor, global_pairing, principal_lattice_basis
+from idelink.ideles import Divisor, Idele, delta_from_divisor, global_pairing, idele_coords, principal_lattice_basis
+from idelink.linalg import smith_normal_form
 from idelink.local import PeripheralClass, complement_homology
 
-from conftest import manifold
+from conftest import count_linear_algebra, manifold, random_manifold
 
 
 def unlinked_complement(k):
@@ -292,3 +295,82 @@ def test_hilbert_symbol(hopf):
     for bad in (3.0, 2.5, True, "3"):
         with pytest.raises(BadInput, match="modulus must be an integer"):
             hilbert_symbol(a, b, "K1", bad)
+
+
+def smith_cover(comp, rng, orders):
+    """A uniformly drawn well-defined cover to Z/n_1 + ... + Z/n_t, through the Smith form of the relations.
+
+    U @ relations @ V = D, so a map is well defined exactly when the images
+    of U's rows are killed by the matching diagonal entries.
+    """
+    snf = smith_normal_form(comp.relations)
+    g = comp.group.generator_count
+    diag = list(snf.diagonal) + [0] * g
+    images = []
+    for i in range(g):
+        step = [n // gcd(diag[i], n) for n in orders]
+        images.append([rng.randrange(n // st) * st for n, st in zip(orders, step)])
+    values = [[sum(snf.u[i, j] * images[i][p] for i in range(g)) for p in range(len(orders))] for j in range(g)]
+    return make_cover(comp, orders, values)
+
+
+def test_cached_knot_images_and_symbols_match_the_generic_routes():
+    """Images, global symbols and (e, f, g) against ``apply`` and quotients of the target."""
+    rng = random.Random(8080)
+    knots = proper = multi = ramified = 0
+    for _ in range(220):
+        man = random_manifold(rng, 4, 5, rng.choice((2, 3, 5)))
+        names = list(man.knot_names)
+        for link in (names, man.sublink(rng.sample(names, rng.randint(1, len(names))))):
+            comp = complement_homology(man, link)
+            orders = tuple(rng.randint(2, 6) for _ in range(rng.randint(2, 3)))
+            cover = smith_cover(comp, rng, orders)
+            target = cover.target
+            proper += len(link) < len(names)
+            multi += 1
+            for k in comp.link:
+                mu = cover.apply(comp.meridian_coords(k))
+                l0 = cover.apply(comp.longitude_coords(k))
+                assert cover.knot_images(k) == (mu, l0)
+                assert (cover.meridian_image(k), cover.longitude_image(k)) == (mu, l0)
+                # |<mu>| and the index of <mu, l0>, each from a quotient of the target
+                e = target.order() // target.quotient([mu]).order()
+                g = target.quotient([mu, l0]).order()
+                dd = decomposition_data(cover, k)
+                assert (dd.ramification_index, dd.residue_degree, dd.component_count) == (e, target.order() // e // g, g)
+                assert decomposition_data(cover, k) is dd
+                knots += 1
+                ramified += e > 1
+            for _ in range(3):
+                a = Idele.of({k: (rng.randint(-9, 9), rng.randint(-9, 9)) for k in comp.link if rng.random() < 0.6})
+                assert global_symbol(a, cover) == cover.apply(idele_coords(comp, a))
+    assert knots >= 1000 and proper >= 100 and multi >= 400 and ramified >= 300, (knots, proper, multi, ramified)
+
+
+def test_a_second_cover_query_runs_no_linear_algebra(monkeypatch):
+    man = random_manifold(random.Random(66), 4, 5, 5)
+    comp = complement_homology(man)
+    cover = smith_cover(comp, random.Random(67), (4, 6))
+    a = Idele.of({k: (i + 1, 2 - i) for i, k in enumerate(comp.link)})
+    first = [(cover.knot_images(k), decomposition_data(cover, k)) for k in comp.link], global_symbol(a, cover)
+    counts = count_linear_algebra(monkeypatch)
+    applied = []
+    real_apply = CoverSpec.apply
+    monkeypatch.setattr(CoverSpec, "apply", lambda self, coords: applied.append(coords) or real_apply(self, coords))
+    again = [(cover.knot_images(k), decomposition_data(cover, k)) for k in comp.link], global_symbol(a, cover)
+    assert again == first
+    assert counts == {"mul_vector": 0, "element_order": 0, "FgAbelianGroup": 0} and applied == []
+
+
+def test_knots_outside_the_cover_are_refused_on_every_call(hopf):
+    cover = make_cover(complement_homology(hopf, ("K1",)), (2, 3), [(1, 2)])
+    for _ in range(2):
+        for knot in ("K2", "nope"):
+            with pytest.raises(KnotOutsideLink):
+                decomposition_data(cover, knot)
+            with pytest.raises(KnotOutsideLink):
+                cover.knot_images(knot)
+            with pytest.raises(SupportOutsideLink):
+                global_symbol(Idele.of({"K1": (1, 0), knot: (0, 1)}), cover)
+        assert global_symbol(Idele.of({"K1": (1, 1)}), cover) == (1, 2)
+        assert decomposition_data(cover, "K1").ramification_index == 6

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idelink.errors import DivisorNotPrincipal, KnotOutsideLink, MismatchedKnot, UnknownKnot
-from idelink.ideles import Divisor, Idele, delta_solution, idele_coords
+from idelink.abelian import element_order
+from idelink.errors import DivisorNotPrincipal, KnotOutsideLink, MismatchedKnot, SupportOutsideLink, UnknownKnot
+from idelink.ideles import Divisor, Idele, delta_from_divisor, delta_solution, idele_coords
 from idelink.linalg import preimage_lattice
 from idelink.local import (
     PeripheralClass,
@@ -17,7 +18,7 @@ from idelink.local import (
     valuation,
 )
 
-from conftest import HOPF, manifold, random_manifold
+from conftest import HOPF, count_linear_algebra, manifold, random_manifold
 from oracles import fraction_solve
 
 
@@ -152,8 +153,66 @@ def test_closed_form_longitude_matches_the_peripheral_kernel():
 
 
 def test_longitude_of_an_undeclared_knot_is_refused(lens5):
-    with pytest.raises(UnknownKnot):
-        preferred_longitude(lens5, "missing")
+    for _ in range(2):
+        with pytest.raises(UnknownKnot):
+            preferred_longitude(lens5, "missing")
+        assert preferred_longitude(lens5, "K").index == 5
+
+
+def test_longitude_and_delta_read_the_cached_solve_as_the_generic_routes_do():
+    """Longitudes against the element order, delta's t against one mat-vec of sum d_K ell_K."""
+    rng = random.Random(5151)
+    knots = solved = 0
+    for _ in range(220):
+        man = random_manifold(rng, 5, 5, rng.choice((2, 3, 5)))
+        n, den = man.h1.block_inverse
+        ell = man.presentation.lk_with_surgery
+        for k in man.knot_names:
+            ld = preferred_longitude(man, k)
+            assert ld.index == ld.lambda_class.longitude == element_order(man.knot_class(k))
+            assert preferred_longitude(man, k) == ld
+            knots += 1
+        link = man.sublink(rng.sample(man.knot_names, rng.randint(1, len(man.knot_names))))
+        comp = complement_homology(man, link)
+        d = {k: rng.randint(-3, 3) * rng.choice((1, man.knot_order(k))) for k in link}
+        rhs = [sum(c * ell[man.knot_index(k), j] for k, c in d.items()) for j in range(n.cols)]
+        scaled = n.mul_vector(rhs)
+        if any(x % den for x in scaled):
+            with pytest.raises(DivisorNotPrincipal):
+                delta_solution(comp, Divisor.of(d))
+            continue
+        t, _ = delta_solution(comp, Divisor.of(d))
+        assert t == [x // den for x in scaled]
+        solved += 1
+    assert knots >= 600 and solved >= 100, (knots, solved)
+
+
+def test_a_second_longitude_or_delta_query_runs_no_linear_algebra(monkeypatch):
+    rng = random.Random(62)
+    man = random_manifold(rng, 5, 5, 5)
+    while not man.surgery_names:
+        man = random_manifold(rng, 5, 5, 5)
+    comp = complement_homology(man)
+    divisor = Divisor.of({k: man.knot_order(k) for k in man.knot_names})
+    first = [preferred_longitude(man, k) for k in man.knot_names], delta_from_divisor(comp, divisor)
+    counts = count_linear_algebra(monkeypatch)
+    assert ([preferred_longitude(man, k) for k in man.knot_names], delta_from_divisor(comp, divisor)) == first
+    assert counts == {"mul_vector": 0, "element_order": 0, "FgAbelianGroup": 0}
+
+
+def test_delta_outside_the_sublink_is_refused_on_every_call():
+    rng = random.Random(64)
+    man = random_manifold(rng, 3, 4, 3)
+    while len(man.knot_names) < 2:
+        man = random_manifold(rng, 3, 4, 3)
+    k0, k1 = man.knot_names[:2]
+    comp = complement_homology(man, (k0,))
+    for _ in range(2):
+        with pytest.raises(SupportOutsideLink):
+            delta_from_divisor(comp, Divisor.of({k1: man.knot_order(k1)}))
+        with pytest.raises(SupportOutsideLink):
+            delta_from_divisor(comp, Divisor.of({"missing": 1}))
+        assert delta_from_divisor(comp, Divisor.of({k0: man.knot_order(k0)})).support == (k0,)
 
 
 def test_complement_group_shares_the_inverse_of_lambda():

@@ -21,7 +21,7 @@ from idelink.errors import (
 from idelink import linalg
 from idelink.presentation import SurgeryPresentation, presentation_from_dict, presentation_to_dict
 
-from conftest import HOPF, LENS5, manifold, random_manifold
+from conftest import HOPF, LENS5, count_linear_algebra, manifold, random_manifold
 
 
 def test_lens5_homology(lens5):
@@ -284,6 +284,26 @@ def test_certificate_matches_rational_inverse_of_the_smith_transform():
             checked += bool(cert.expressions)
 
 
+def test_subgroup_factors_read_the_hermite_basis_of_the_knot_classes():
+    """The non-admissible certificate against the subgroup's own kernel route, on random sublinks."""
+    from idelink.abelian import subgroup_invariant_factors
+
+    rng = random.Random(1515)
+    non_admissible = nontrivial = 0
+    for _ in range(1000):
+        man = random_manifold(rng, 5, 5, rng.choice((2, 3, 5)))
+        knots = list(man.knot_names)
+        link = man.sublink(rng.sample(knots, rng.randint(1, len(knots))))
+        cert = man.admissibility_of(link)
+        if cert:
+            continue
+        classes = [man.knot_class(k).coords for k in link]
+        assert cert.subgroup_factors == subgroup_invariant_factors(man.h1, classes), (man.presentation, link)
+        non_admissible += 1
+        nontrivial += cert.subgroup_factors != ()
+    assert non_admissible >= 200 and nontrivial >= 100, (non_admissible, nontrivial)
+
+
 def test_generates_h1_matches_certificate():
     cases = [
         LENS5,
@@ -342,3 +362,39 @@ def test_linking_number_is_symmetric(la, lb, framing):
         }
     )
     assert man.linking_number("A", "B") == man.linking_number("B", "A")
+
+
+def test_knot_solution_matches_the_generic_element_route():
+    from idelink.abelian import element_order
+
+    rng = random.Random(3131)
+    knots = nontrivial = 0
+    for _ in range(240):
+        man = random_manifold(rng, 5, 5, rng.choice((2, 3, 5)))
+        n, den = man.h1.block_inverse
+        for k in man.knot_names:
+            solved = man.knot_solution(k)
+            assert solved.t == n.mul_vector(man.presentation.lk_with_surgery.row(man.knot_index(k)))
+            assert solved.den == den
+            assert man.knot_order(k) == solved.order == element_order(man.knot_class(k))
+            assert man.knot_solution(k) is solved
+            knots += 1
+            nontrivial += solved.order > 1
+    assert knots >= 600 and nontrivial >= 200, (knots, nontrivial)
+
+
+def test_a_second_order_query_runs_no_linear_algebra(monkeypatch):
+    man = random_manifold(random.Random(61), 5, 5, 5)
+    first = {k: man.knot_order(k) for k in man.knot_names}
+    counts = count_linear_algebra(monkeypatch)
+    assert {k: man.knot_order(k) for k in man.knot_names} == first
+    assert counts == {"mul_vector": 0, "element_order": 0, "FgAbelianGroup": 0}
+
+
+def test_an_undeclared_knot_is_refused_on_every_call(lens5):
+    for _ in range(2):
+        with pytest.raises(UnknownKnot):
+            lens5.knot_order("missing")
+        with pytest.raises(UnknownKnot):
+            lens5.knot_solution("missing")
+        assert lens5.knot_order("K") == 5
