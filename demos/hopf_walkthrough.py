@@ -41,7 +41,7 @@ print("linking number lk(K1, K2) =", hopf.linking_number("K1", "K2"))
 # The complement of both components is a torus: H1 is free on the two
 # meridians, and each longitude is homologous to the other meridian.
 comp = complement_homology(hopf)
-print("\nH1 of the complement:", comp.group.invariant_factors)
+print("\nH1 of the complement:", comp.invariant_factors)
 
 # K1 bounds a disk punctured once by K2. Its boundary idele records the
 # longitude at K1 and minus a meridian at K2.

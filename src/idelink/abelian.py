@@ -25,7 +25,8 @@ for a square presentation is its order.
 
 Both come from the one elimination in ``linalg``, and a group whose
 relations lead with ones already eliminated inherits that work: a finite
-group's ``quotient`` its rank and minor, a link complement (``local``)
+group's ``quotient`` its rank and minor, and a link complement
+(``local.ComplementHomology``, a subclass whose relations lead with Lambda)
 H1(M)'s ``block_inverse``, so each manifold inverts Lambda once. All is
 computed on first use and cached, so a group built only to carry its
 relations (as most complements are) pays for nothing.

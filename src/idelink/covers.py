@@ -23,7 +23,9 @@ the product formula compares two routes.
 
 A Kummer cover of modulus n attached to a principal divisor is the unique
 (at admissible stages) homomorphism to Z/n whose symbol computes the global
-pairing against the divisor's principal idele.
+pairing against the divisor's principal idele. A stage is admissible when
+its cached ``cokernel`` H1(M)/G is trivial, so the Kummer covers of one
+stage share one quotient.
 """
 
 from __future__ import annotations
@@ -77,9 +79,9 @@ class CoverSpec:
         self.target = FgAbelianGroup(t, IntMatrix.from_rows(diagonal))
         self.complement = complement
         self.values = tuple(self.reduce(v) for v in values)
-        if len(self.values) != complement.group.generator_count:
+        if len(self.values) != complement.generator_count:
             raise BadDimensions(
-                f"{complement.group.generator_count} generator values required, "
+                f"{complement.generator_count} generator values required, "
                 f"got {len(self.values)}"
             )
         self._knot_images: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -88,10 +90,6 @@ class CoverSpec:
     @property
     def link(self) -> tuple[str, ...]:
         return self.complement.link
-
-    @property
-    def manifold(self):
-        return self.complement.manifold
 
     def reduce(self, vec) -> tuple[int, ...]:
         """Residues of a target coordinate vector, one per cyclic factor."""
@@ -236,15 +234,14 @@ def kummer_cover(comp: ComplementHomology, divisor: Divisor, modulus: int) -> Ku
     """The Z/modulus cover whose symbol is the pairing against the divisor's idele.
 
     Requires the stage to be admissible (the sublink's knot classes generate
-    H1(M)); then the defining property determines the cover uniquely: the
-    values are -t_j on surgery meridians and the divisor coefficients on
+    H1(M): the stage's ``cokernel`` is trivial); then the defining property
+    determines the cover uniquely: the values are -t_j on surgery meridians and the divisor coefficients on
     link meridians, where t is the 2-chain solution for the divisor.
     """
     modulus = json_int(modulus, "modulus")
     if modulus < 2:
         raise BadModulus(f"modulus must be at least 2, got {modulus}")
-    man = comp.manifold
-    if not man.generates_h1(comp.link):
+    if not comp.cokernel.is_trivial():
         raise NotAdmissible(
             "the sublink's knot classes do not generate H1(M); "
             "the pairing does not factor through a cover of this stage"

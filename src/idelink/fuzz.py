@@ -7,7 +7,9 @@ run is a pure function of (seed, config) and reports are reproducible
 byte for byte. On the lowest-index failing trial the instance is shrunk
 (drop components, then move entries toward zero, always keeping the
 determinant nonzero) and the minimal failing instance is embedded in the
-report in the same JSON shape the loaders accept.
+report in the same JSON shape the loaders accept. An exception that a
+library call raises inside a trial is reported the same way, as a failure
+of the property being checked, never as a traceback or an input error.
 
 The ``corrupt`` config field deliberately breaks the pairing oracle used by
 the reciprocity check so the harness can prove it catches violations.
@@ -176,7 +178,7 @@ def _sample_cover(comp, rng: random.Random):
     """Random finite abelian target with a uniformly sampled well-defined cover."""
     orders = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 2)))
     snf = smith_normal_form(comp.relations)
-    g = comp.group.generator_count
+    g = comp.generator_count
     diag = snf.diagonal
     images = []
     for i in range(g):
@@ -206,8 +208,28 @@ def _divisor_class_is_zero(man: Manifold, divisor: Divisor) -> bool:
 
 
 def check_trial(man: Manifold, rng: random.Random, cfg: FuzzConfig) -> list[tuple[str, str, dict | None]]:
-    """Run every property on one instance; returns (name, status, witness) triples."""
+    """Run every property on one instance; returns (name, status, witness) triples.
+
+    An exception raised by the library is an internal fault: it fails the
+    first property not yet recorded, with witness {"exception": <type name>,
+    "detail": <message>}, and skips the rest, so the trial is shrunk and
+    replayed like any other failure.
+    """
     results: list[tuple[str, str, dict | None]] = []
+    try:
+        _check_properties(man, rng, cfg, results)
+    except Exception as exc:
+        # no traceback: it names files and lines, so reports would differ between installs;
+        # the shrunk instance replays the fault
+        recorded = {name for name, _, _ in results}
+        pending = [name for name in PROPERTY_NAMES if name not in recorded]
+        results.append((pending[0], "fail", {"exception": type(exc).__name__, "detail": str(exc)}))
+        results.extend((name, "skip", None) for name in pending[1:])
+    return results
+
+
+def _check_properties(man: Manifold, rng: random.Random, cfg: FuzzConfig, results: list) -> None:
+    """Append the (name, status, witness) triple of each property, in ``PROPERTY_NAMES`` order."""
 
     def rec(name: str, ok: bool, witness: dict | None = None) -> None:
         results.append((name, "pass" if ok else "fail", None if ok else witness))
@@ -289,7 +311,7 @@ def check_trial(man: Manifold, rng: random.Random, cfg: FuzzConfig) -> list[tupl
         ok_dec = ok_dec and ((dd.ramification_index == 1) == (not any(cover.meridian_image(k))))
     rec("decomposition-identity", ok_dec, {"cover": cover.to_dict()})
 
-    if man.generates_h1(link):
+    if comp.cokernel.is_trivial():
         n = rng.randint(2, 7)
         da = Divisor.of({k: a.component(k).longitude for k in link})
         kc = kummer_cover(comp, da, n)
@@ -381,8 +403,6 @@ def check_trial(man: Manifold, rng: random.Random, cfg: FuzzConfig) -> list[tupl
         rec("slide-invariance", ok_slide, {"knot": kx, "surgery_component": jx})
     else:
         skip("slide-invariance")
-
-    return results
 
 
 def _slide(man: Manifold, knot: str, j: int) -> Manifold:

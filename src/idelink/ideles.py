@@ -14,7 +14,8 @@ is Z^l + (G cap G^perp): G is the subgroup of H1(M) generated by the knot
 classes of L, and perp is taken for the linking form (u, v) -> u Lambda^-1 v
 mod 1. So the class group is computed in H1(M)'s s coordinates, from the
 Hermite basis W of G~ = span(ell_K) + Lambda Z^s that the cokernel H1(M)/G
-also reads; every torsion step runs modulo c = |H1(M)/G|, the product of W's
+also reads; the stage keeps that cokernel, so W is eliminated once per
+stage. Every torsion step runs modulo c = |H1(M)/G|, the product of W's
 pivots. On an admissible stage G is all of H1(M), so c = 1 and the torsion
 is trivial with no elimination. ``principal_lattice_basis`` still takes the
 kernel of the peripheral table.
@@ -179,12 +180,12 @@ def idele_coords(comp: ComplementHomology, a: Idele) -> tuple[int, ...]:
     """Coordinate vector of the reassembled idele in H1(M - L), pre-quotient."""
     require_support(comp.link, a.support)
     parts = [comp.peripheral_coords(PeripheralClass(k, x, y)) for k, x, y in a.parts]
-    return tuple(map(sum, zip((0,) * comp.group.generator_count, *parts)))
+    return tuple(map(sum, zip((0,) * comp.generator_count, *parts)))
 
 
 def rho_tilde(comp: ComplementHomology, a: Idele) -> GroupElement:
     """Reassemble an idele supported on L into H1(M - L)."""
-    return comp.group.element(idele_coords(comp, a))
+    return comp.element(idele_coords(comp, a))
 
 
 def is_principal(comp: ComplementHomology, a: Idele) -> bool:
@@ -274,14 +275,12 @@ def idele_class_group(comp: ComplementHomology) -> ClassGroupData:
 
     coker(rho) is H1(M - L) modulo every meridian and reference longitude of
     L. Killing the meridians leaves H1(M), where each reference longitude
-    becomes its knot's class, so the cokernel is H1(M)/G: the group
-    ``Manifold.knot_quotient`` builds, with the modulus |det Lambda|. Its
-    cached Hermite basis is that of G~, which the torsion reads too. An
-    admissible stage has G = H1(M), so c = |coker| = 1 and T = 0.
+    becomes its knot's class, so the cokernel is H1(M)/G: the stage's
+    ``cokernel``, with the modulus |det Lambda|. Its cached Hermite basis is
+    that of G~, which the torsion reads too. An admissible stage has G = H1(M), so c = |coker| = 1 and T = 0.
     """
-    man = comp.manifold
-    coker = man.knot_quotient(comp.link)
-    torsion = _radical_invariants(man.surgery_matrix, coker.hermite_basis)
+    coker = comp.cokernel
+    torsion = _radical_invariants(comp.manifold.surgery_matrix, coker.hermite_basis)
     return ClassGroupData(
         link=comp.link,
         class_invariants=torsion + (0,) * len(comp.link),

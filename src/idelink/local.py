@@ -22,7 +22,9 @@ rows of the knots in L follow. The reference longitude of K is K's row there
 followed by K's ``lk_mutual`` row restricted to L, whose zero diagonal
 supplies the K' = K entry.
 ``load_and_validate`` checks the symmetry and the zero diagonal.
-``ComplementHomology`` owns this table, and ``ideles`` reads it from there.
+``ComplementHomology`` is the stage: it is the group H1(M - L) itself, it
+owns this table, and it keeps H1(M)/G, the cokernel of the reassembly map,
+so the class group and the Kummer covers of a stage share one.
 
 The preferred longitude of K is the exact generator of the kernel of
 H1(boundary torus) -> H1(M - K), sign-normalized to positive longitude
@@ -44,6 +46,7 @@ mat-vec per manifold, and no one-knot complement or integer kernel is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .abelian import FgAbelianGroup, GroupElement
 from .errors import KnotOutsideLink, MismatchedKnot
@@ -114,24 +117,13 @@ class LongitudeData:
     is_basis: bool
 
 
-class _ComplementGroup(FgAbelianGroup):
-    """H1(M - L): its relations lead with Lambda, so it reads H1(M)'s inverse on first use."""
+class ComplementHomology(FgAbelianGroup):
+    """H1 of the complement of a sublink, with its peripheral table: the stage.
 
-    def __init__(self, h1: FgAbelianGroup, relations: IntMatrix):
-        super().__init__(relations.rows, relations)
-        self._h1 = h1
-
-    @property
-    def block_inverse(self) -> tuple[IntMatrix, int] | None:
-        return self._h1.block_inverse
-
-
-class ComplementHomology:
-    """H1 of the complement of a sublink, with its peripheral table.
-
-    The one owner of a stage's presentation data. It reads whole rows, as
-    the module docstring says, relying on Lambda's symmetry and the zero
-    diagonal of ``lk_mutual``, which ``load_and_validate`` checks.
+    The one owner of a stage's data. It reads whole rows, as the module
+    docstring says, relying on Lambda's symmetry and the zero diagonal of
+    ``lk_mutual``, which ``load_and_validate`` checks. Its relations lead
+    with Lambda, so it reads H1(M)'s inverse.
     """
 
     def __init__(self, manifold: Manifold, link: tuple[str, ...]):
@@ -143,14 +135,19 @@ class ComplementHomology:
         ell = [pres.lk_with_surgery.row(i) for i in knot_rows]
         # column j is relation j: sum_i Lambda(j,i) m_i + sum_a lk(K_a, L_j) mu_a = 0
         relations = IntMatrix(s + len(link), s, pres.surgery_matrix.entries + tuple(x for row in ell for x in row))
-        self.group = _ComplementGroup(manifold.h1, relations)
+        super().__init__(relations.rows, relations)
         self._mu_pos = {k: s + a for a, k in enumerate(link)}
         mutual = [pres.lk_mutual.row(i) for i in knot_rows]
         self._l0 = {k: row + tuple(m[b] for b in knot_rows) for k, row, m in zip(link, ell, mutual)}
 
     @property
-    def relations(self) -> IntMatrix:
-        return self.group.relations
+    def block_inverse(self) -> tuple[IntMatrix, int] | None:
+        return self.manifold.h1.block_inverse
+
+    @cached_property
+    def cokernel(self) -> FgAbelianGroup:
+        """H1(M)/G from ``Manifold.knot_quotient``, built on first use; trivial when admissible."""
+        return self.manifold.knot_quotient(self.link)
 
     def _require(self, knot: str) -> None:
         if knot not in self._mu_pos:
@@ -158,7 +155,7 @@ class ComplementHomology:
 
     def meridian_coords(self, knot: str) -> tuple[int, ...]:
         self._require(knot)
-        n = self.group.generator_count
+        n = self.generator_count
         p = self._mu_pos[knot]
         return tuple(1 if i == p else 0 for i in range(n))
 
@@ -174,7 +171,7 @@ class ComplementHomology:
         return tuple(coords)
 
     def class_of(self, a: PeripheralClass) -> GroupElement:
-        return self.group.element(self.peripheral_coords(a))
+        return self.element(self.peripheral_coords(a))
 
     def peripheral_matrix(self) -> IntMatrix:
         """Columns (meridian_K, longitude_K) for K running through the link."""
@@ -182,7 +179,7 @@ class ComplementHomology:
         for k in self.link:
             cols.append(list(self.meridian_coords(k)))
             cols.append(list(self._l0[k]))
-        return IntMatrix.from_columns(cols, rows=self.group.generator_count)
+        return IntMatrix.from_columns(cols, rows=self.generator_count)
 
 
 def complement_homology(manifold: Manifold, link=None) -> ComplementHomology:

@@ -68,7 +68,7 @@ def count_linear_algebra(monkeypatch) -> dict:
     return counts
 
 
-def manifold(data) -> Manifold:
+def load_manifold(data) -> Manifold:
     return load_and_validate(presentation_from_dict(data))
 
 
@@ -100,17 +100,17 @@ def random_manifold(rng, max_surgery, max_link, bound):
 
 @pytest.fixture
 def lens5() -> Manifold:
-    return manifold(LENS5)
+    return load_manifold(LENS5)
 
 
 @pytest.fixture
 def hopf() -> Manifold:
-    return manifold(HOPF)
+    return load_manifold(HOPF)
 
 
 @pytest.fixture
 def lens4_twice() -> Manifold:
-    return manifold(LENS4_TWICE)
+    return load_manifold(LENS4_TWICE)
 
 
 @pytest.fixture

@@ -98,7 +98,7 @@ def peripheral_class_group(comp) -> tuple[tuple[int, ...], tuple[int, ...]]:
     from idelink.abelian import subgroup_invariant_factors
 
     peripheral = comp.peripheral_matrix()
-    class_invariants = subgroup_invariant_factors(comp.group, map(peripheral.column, range(peripheral.cols)))
+    class_invariants = subgroup_invariant_factors(comp, map(peripheral.column, range(peripheral.cols)))
     man = comp.manifold
     coker = man.h1.quotient(man.knot_class(k).coords for k in comp.link)
     return class_invariants, coker.invariant_factors

@@ -20,7 +20,7 @@ from idelink.linalg import IntMatrix, determinant, smith_normal_form, solve_mod_
 from idelink.local import PeripheralClass, complement_homology, local_intersection, preferred_longitude, valuation
 from idelink.presentation import load_and_validate
 
-from conftest import HOPF, LENS5, manifold
+from conftest import HOPF, LENS5, load_manifold
 
 
 def conclude(number, ok, description):
@@ -58,7 +58,7 @@ def test_acceptance_3_product_formula(report1000):
 def test_acceptance_4_worked_oracles():
     ok = True
 
-    hopf = manifold(HOPF)
+    hopf = load_manifold(HOPF)
     comp = complement_homology(hopf)
     d1 = delta_from_divisor(comp, Divisor.of({"K1": 1}))
     d2 = delta_from_divisor(comp, Divisor.of({"K2": 1}))
@@ -69,12 +69,12 @@ def test_acceptance_4_worked_oracles():
     ok &= kc.cover.meridian_image("K2") == (0,)
     ok &= kc.branch_locus == ("K1",)
 
-    lens = manifold(LENS5)
+    lens = load_manifold(LENS5)
     ok &= lens.h1.invariant_factors == (5,)
     ok &= lens.knot_order("K") == 5
     ld = preferred_longitude(lens, "K")
     ok &= (ld.lambda_class.meridian, ld.lambda_class.longitude) == (1, 5)
-    two = manifold(
+    two = load_manifold(
         {
             "surgery": {"components": ["L1"], "matrix": [[5]]},
             "link": {

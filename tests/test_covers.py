@@ -24,18 +24,28 @@ from idelink.errors import (
     NotAdmissible,
     SupportOutsideLink,
 )
-from idelink.ideles import Divisor, Idele, delta_from_divisor, global_pairing, idele_coords, principal_lattice_basis
+from idelink.fuzz import FuzzConfig, check_trial
+from idelink.ideles import (
+    Divisor,
+    Idele,
+    delta_from_divisor,
+    global_pairing,
+    idele_class_group,
+    idele_coords,
+    principal_lattice_basis,
+)
 from idelink.linalg import smith_normal_form
 from idelink.local import PeripheralClass, complement_homology
+from idelink.presentation import Manifold
 
-from conftest import count_linear_algebra, manifold, random_manifold
+from conftest import LENS5, count_linear_algebra, load_manifold, random_manifold
 
 
 def unlinked_complement(k):
     """Complement of k unlinked unknots in S^3: free on k meridians, no relations."""
     names = [f"K{i}" for i in range(k)]
     zeros = [[0] * k for _ in range(k)]
-    man = manifold(
+    man = load_manifold(
         {
             "surgery": {"components": [], "matrix": []},
             "link": {"components": names, "lk_with_surgery": [[] for _ in names], "lk_mutual": zeros},
@@ -191,7 +201,7 @@ def sample_cover(comp, rng):
     while True:
         values = [
             [rng.randrange(n) for n in orders]
-            for _ in range(comp.group.generator_count)
+            for _ in range(comp.generator_count)
         ]
         try:
             return make_cover(comp, orders, values)
@@ -271,7 +281,7 @@ def test_kummer_symbol_is_pairing_with_boundary(hopf):
 
 
 def test_kummer_requires_admissible_stage():
-    man = manifold(
+    man = load_manifold(
         {
             "surgery": {"components": ["L1"], "matrix": [[5]]},
             "link": {"components": ["K"], "lk_with_surgery": [[0]], "lk_mutual": [[0]]},
@@ -280,6 +290,31 @@ def test_kummer_requires_admissible_stage():
     comp = complement_homology(man)
     with pytest.raises(NotAdmissible):
         kummer_cover(comp, Divisor.of({}), 2)
+
+
+def test_one_stage_builds_its_cokernel_once(monkeypatch, lens5):
+    """Kummer covers, the class group and a fuzz trial read the stage's one H1(M)/G."""
+    calls = []
+    real = Manifold.knot_quotient
+    monkeypatch.setattr(Manifold, "knot_quotient", lambda man, link: calls.append(link) or real(man, link))
+    comp = complement_homology(lens5)
+    assert kummer_cover(comp, Divisor.of({"K": 5}), 2).cover.values == ((1,), (1,))
+    assert kummer_cover(comp, Divisor.of({"K": 10}), 3).cover.values == ((1,), (1,))
+    assert idele_class_group(comp).coker_invariants == ()
+    assert calls == [("K",)]
+
+    calls.clear()
+    results = check_trial(lens5, random.Random(0), FuzzConfig(trials=1, seed=0))
+    assert ("kummer-consistency", "pass", None) in results
+    assert calls == [("K",)]
+
+    calls.clear()
+    blind = complement_homology(load_manifold({**LENS5, "link": {**LENS5["link"], "lk_with_surgery": [[0]]}}))
+    for _ in range(2):
+        with pytest.raises(NotAdmissible):
+            kummer_cover(blind, Divisor.of({}), 2)
+    assert blind.cokernel.invariant_factors == (5,)
+    assert calls == [("K",)]
 
 
 def test_hilbert_symbol(hopf):
@@ -304,7 +339,7 @@ def smith_cover(comp, rng, orders):
     of U's rows are killed by the matching diagonal entries.
     """
     snf = smith_normal_form(comp.relations)
-    g = comp.group.generator_count
+    g = comp.generator_count
     diag = list(snf.diagonal) + [0] * g
     images = []
     for i in range(g):

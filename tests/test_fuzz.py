@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from idelink.errors import BadInput, TooLarge
+from idelink.cli import run_command
+from idelink.errors import BadInput, TooLarge, UnknownKnot
 from idelink.fuzz import PROPERTY_NAMES, FuzzConfig, check_trial, fuzz_suite
 from idelink.presentation import load_and_validate, presentation_from_dict
 
@@ -132,6 +133,40 @@ def test_linking_symmetry_checks_the_order_against_the_smith_diagonal(monkeypatc
     assert man.h1.order() == 10 and man.h1.invariant_factors == (5,)
     results = check_trial(man, random.Random(0), FuzzConfig(trials=1, seed=0))
     assert {name: status for name, status, _ in results}["linking-symmetry"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [ArithmeticError("meridian coefficient is not an integer"), UnknownKnot("knot 'K9' was never declared")],
+    ids=["internal", "escaped-input-error"],
+)
+def test_an_exception_inside_a_trial_is_a_shrunk_failure(monkeypatch, capsys, fault):
+    from idelink import fuzz
+
+    def broken(man, knot):
+        raise fault
+
+    monkeypatch.setattr(fuzz, "preferred_longitude", broken)
+    rep = fuzz_suite(FuzzConfig(trials=5, seed=1)).to_json()
+    assert rep["failing_trials"] == 5
+    props = rep["properties"]
+    assert props["longitude-kernel"] == {"pass": 0, "fail": 5, "skip": 0}
+    for name in PROPERTY_NAMES[PROPERTY_NAMES.index("longitude-kernel") + 1 :]:
+        assert props[name] == {"pass": 0, "fail": 0, "skip": 5}
+    ff = rep["first_failure"]
+    assert (ff["trial"], ff["property"]) == (0, "longitude-kernel")
+    assert ff["witness"] == {"exception": type(fault).__name__, "detail": str(fault)}
+
+    # the shrunk instance is loadable, minimal in the knots, and fails the same way on replay
+    man = load_and_validate(presentation_from_dict(ff))
+    assert len(man.knot_names) == 1 and not any(man.presentation.lk_with_surgery.entries)
+    results = check_trial(man, random.Random(0), FuzzConfig(trials=1, seed=0))
+    assert [name for name, _, _ in results] == list(PROPERTY_NAMES)
+    assert ("longitude-kernel", "fail", ff["witness"]) in results
+
+    # a property failure on the command line, never an input error
+    assert run_command(["fuzz", "--trials", "5", "--seed", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["first_failure"] == ff
 
 
 def test_shrink_candidates_drop_one_component_or_move_one_entry_with_its_mirror():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import manifold, record_smith_forms
+from conftest import load_manifold, record_smith_forms
 from oracles import hermite_row_basis, lattice_reduce
 
 from idelink import (
@@ -379,14 +379,14 @@ TWO_KNOTS = {
 
 def test_complement_queries_run_no_smith_form_on_the_complement(monkeypatch):
     inputs = record_smith_forms(monkeypatch)
-    comp = complement_homology(manifold(TWO_KNOTS))
+    comp = complement_homology(load_manifold(TWO_KNOTS))
     assert principal_lattice_basis(comp)
     kummer_cover(comp, Divisor.of({"K1": 2, "K2": 1}), 3)
     # the admissibility check inside kummer_cover reads H1 modulo |det Lambda|
     assert inputs == []
     # the complement has free rank 2 and its invariant factors come modulo |det Lambda| too
-    assert comp.group.modulus is None
-    assert comp.group.invariant_factors == (0, 0)
+    assert comp.modulus is None
+    assert comp.invariant_factors == (0, 0)
     assert inputs == []
 
 
@@ -535,7 +535,7 @@ def test_solve_each_mod_subgroup_matches_smith_solve_reduced_against_the_lattice
 
 def test_element_queries_take_no_smith_form(monkeypatch):
     inputs = record_smith_forms(monkeypatch)
-    man = manifold(TWO_KNOTS)
+    man = load_manifold(TWO_KNOTS)
     assert [man.knot_order(k) for k in man.knot_names] == [5, 5]
     comp = complement_homology(man, ["K1"])
     assert is_principal(comp, Idele.of({"K1": (0, 5)})) is False

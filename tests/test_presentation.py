@@ -21,7 +21,7 @@ from idelink.errors import (
 from idelink import linalg
 from idelink.presentation import SurgeryPresentation, presentation_from_dict, presentation_to_dict
 
-from conftest import HOPF, LENS5, count_linear_algebra, manifold, random_manifold
+from conftest import HOPF, LENS5, count_linear_algebra, load_manifold, random_manifold
 
 
 def test_lens5_homology(lens5):
@@ -36,7 +36,7 @@ def test_hopf_homology(hopf):
 
 
 def test_even_framing_pair():
-    man = manifold(
+    man = load_manifold(
         {
             "surgery": {"components": ["L1", "L2"], "matrix": [[2, 1], [1, 2]]},
             "link": {"components": ["K"], "lk_with_surgery": [[1, 0]], "lk_mutual": [[0]]},
@@ -47,7 +47,7 @@ def test_even_framing_pair():
 
 def test_zero_framing_is_rejected():
     with pytest.raises(NotQHS3):
-        manifold(
+        load_manifold(
             {
                 "surgery": {"components": ["L1"], "matrix": [[0]]},
                 "link": {"components": ["K"], "lk_with_surgery": [[1]], "lk_mutual": [[0]]},
@@ -57,7 +57,7 @@ def test_zero_framing_is_rejected():
 
 def test_asymmetric_surgery_matrix_is_rejected():
     with pytest.raises(AsymmetricMatrix):
-        manifold(
+        load_manifold(
             {
                 "surgery": {"components": ["L1", "L2"], "matrix": [[1, 2], [1, 1]]},
                 "link": {"components": ["K"], "lk_with_surgery": [[0, 0]], "lk_mutual": [[0]]},
@@ -75,15 +75,15 @@ def test_mutual_linking_must_be_symmetric_with_zero_diagonal():
         },
     }
     with pytest.raises(AsymmetricMatrix):
-        manifold(base)
+        load_manifold(base)
     base["link"]["lk_mutual"] = [[1, 0], [0, 0]]
     with pytest.raises(AsymmetricMatrix):
-        manifold(base)
+        load_manifold(base)
 
 
 def test_duplicate_names_are_rejected():
     with pytest.raises(DuplicateName):
-        manifold(
+        load_manifold(
             {
                 "surgery": {"components": ["K"], "matrix": [[1]]},
                 "link": {"components": ["K"], "lk_with_surgery": [[0]], "lk_mutual": [[0]]},
@@ -93,14 +93,14 @@ def test_duplicate_names_are_rejected():
 
 def test_shape_mismatches_are_rejected():
     with pytest.raises(BadDimensions):
-        manifold(
+        load_manifold(
             {
                 "surgery": {"components": ["L1"], "matrix": [[5, 0]]},
                 "link": {"components": ["K"], "lk_with_surgery": [[1]], "lk_mutual": [[0]]},
             }
         )
     with pytest.raises(BadDimensions):
-        manifold(
+        load_manifold(
             {
                 "surgery": {"components": ["L1"], "matrix": [[5]]},
                 "link": {"components": ["K"], "lk_with_surgery": [[1, 2]], "lk_mutual": [[0]]},
@@ -161,12 +161,12 @@ def test_unknown_keys_are_ignored():
     data = dict(HOPF)
     data["trial"] = 3
     data["witness"] = {"a": {}}
-    man = manifold(data)
+    man = load_manifold(data)
     assert man.knot_names == ("K1", "K2")
 
 
 def test_linking_number_values(lens5):
-    two = manifold(
+    two = load_manifold(
         {
             "surgery": {"components": ["L1"], "matrix": [[5]]},
             "link": {
@@ -179,7 +179,7 @@ def test_linking_number_values(lens5):
     assert two.linking_number("J", "K") == Fraction(-1, 5)
     assert two.linking_number("K", "J") == Fraction(-1, 5)
 
-    hopf = manifold(HOPF)
+    hopf = load_manifold(HOPF)
     assert hopf.linking_number("K1", "K2") == 1
 
     with pytest.raises(SelfLinking):
@@ -217,7 +217,7 @@ def element_total_generates(man, elem):
 
 
 def test_non_admissible_certificate():
-    man = manifold(
+    man = load_manifold(
         {
             "surgery": {"components": ["L1"], "matrix": [[5]]},
             "link": {"components": ["K"], "lk_with_surgery": [[0]], "lk_mutual": [[0]]},
@@ -232,7 +232,7 @@ def test_non_admissible_certificate():
 
 def test_certificate_takes_one_lattice_for_all_invariant_factors(monkeypatch):
     # H1 = Z/2 e1 + Z/2 e2 + Z/4 e3 with classes e1 + e2, e2 + e3 and 3 e3
-    man = manifold(
+    man = load_manifold(
         {
             "surgery": {"components": ["L1", "L2", "L3"], "matrix": [[2, 0, 0], [0, 2, 0], [0, 0, 4]]},
             "link": {
@@ -314,14 +314,14 @@ def test_generates_h1_matches_certificate():
         },
     ]
     for data in cases:
-        man = manifold(data)
+        man = load_manifold(data)
         for link in (None, man.knot_names[:1]):
             chosen = man.sublink(link)
             assert man.generates_h1(chosen) == bool(man.admissibility_of(chosen))
 
 
 def test_handle_slide_preserves_invariants():
-    base = manifold(
+    base = load_manifold(
         {
             "surgery": {"components": ["L1"], "matrix": [[5]]},
             "link": {
@@ -333,7 +333,7 @@ def test_handle_slide_preserves_invariants():
     )
     # slide J across the surgery curve: its surgery linking row gains the
     # framing row, and its mutual linking with K gains lk(K, L1)
-    slid = manifold(
+    slid = load_manifold(
         {
             "surgery": {"components": ["L1"], "matrix": [[5]]},
             "link": {
@@ -351,7 +351,7 @@ def test_handle_slide_preserves_invariants():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 6))
 def test_linking_number_is_symmetric(la, lb, framing):
-    man = manifold(
+    man = load_manifold(
         {
             "surgery": {"components": ["L1"], "matrix": [[framing]]},
             "link": {
