@@ -74,12 +74,12 @@ _EXPORTS = {
         "rho_tilde",
     ),
     "linalg": (
+        "FractionFreeLU",
         "IntMatrix",
         "SmithForm",
         "determinant",
         "hstack",
         "integer_kernel",
-        "leading_block_inverse",
         "preimage_lattice",
         "smith_normal_form",
         "solve_integer",

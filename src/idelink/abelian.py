@@ -9,8 +9,9 @@ become the order and triviality of a quotient.
 When the leading square block of the relations is nonsingular (H1 of a
 rational homology sphere, every link complement, whose leading block is
 the surgery matrix, and every cover target), element orders and equality
-come from a fraction-free inverse of that block: the order of x is the
-least common denominator of the rational solution of relations @ t = x.
+come from a fraction-free LU of that block (``linalg.FractionFreeLU``):
+the order of x is the least common denominator of the rational solution
+of relations @ t = x.
 Other groups read the order of x off ``preimage_lattice``: the integers n
 with n * x in the relation span.
 
@@ -23,13 +24,14 @@ of that lattice (``hermite_basis``) is cached, and ``invariant_factors``
 reads its Smith diagonal. A finite group (r = g) has ``modulus`` D, which
 for a square presentation is its order.
 
-Both come from the one elimination in ``linalg``, and a group whose
+For a square presentation the rank and minor are the LU's, so one
+elimination gives the order and every element test. A group whose
 relations lead with ones already eliminated inherits that work: a finite
 group's ``quotient`` its rank and minor, and a link complement
 (``local.ComplementHomology``, a subclass whose relations lead with Lambda)
-H1(M)'s ``block_inverse``, so each manifold inverts Lambda once. All is
-computed on first use and cached, so a group built only to carry its
-relations (as most complements are) pays for nothing.
+H1(M)'s ``block_lu``. All is computed on first use and cached, so a group
+built only to carry its relations (as most complements are) pays for
+nothing.
 """
 
 from __future__ import annotations
@@ -37,15 +39,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import mul
 
 from .errors import BadDimensions, json_int
 from .linalg import (
     IntMatrix,
-    block_solve,
+    FractionFreeLU,
     hermite_basis_mod,
     hermite_smith_diagonal,
     hstack,
-    leading_block_inverse,
+    leading_block_lu,
     preimage_lattice,
     rank_and_minor,
 )
@@ -63,7 +66,7 @@ class FgAbelianGroup:
 
     invariant_factors lists the nontrivial torsion factors in divisibility
     order followed by one 0 per free factor; unit factors are dropped. It,
-    ``modulus`` and ``block_inverse`` are computed lazily, once per group.
+    ``modulus`` and ``block_lu`` are computed lazily, once per group.
     """
 
     def __init__(self, generator_count: int, relations: IntMatrix):
@@ -75,14 +78,21 @@ class FgAbelianGroup:
         self.relations = relations
 
     @cached_property
-    def block_inverse(self) -> tuple[IntMatrix, int] | None:
-        """``leading_block_inverse`` of the relations, computed on first use."""
-        return leading_block_inverse(self.relations)
+    def block_lu(self) -> FractionFreeLU | None:
+        """``leading_block_lu`` of the relations, computed on first use."""
+        return leading_block_lu(self.relations)
 
     @cached_property
     def _rank_and_minor(self) -> tuple[int, int]:
-        """Rank r of the relations and |a nonzero r x r minor| (1 when r = 0)."""
-        rank, minor = rank_and_minor(self.relations)
+        """Rank r of the relations and |a nonzero r x r minor| (1 when r = 0).
+
+        A square presentation reads them off ``block_lu``.
+        """
+        if self.relations.cols == self.generator_count:
+            lu = self.block_lu
+            rank, minor = lu.rank, lu.minor
+        else:
+            rank, minor = rank_and_minor(self.relations)
         return rank, abs(minor)
 
     @cached_property
@@ -203,14 +213,16 @@ class GroupElement:
 def element_order(e: GroupElement) -> int | None:
     """Smallest n >= 1 with n*e = 0, or None when e has infinite order."""
     group = e.group
-    inverse = group.block_inverse
-    if inverse is not None:
-        # relations @ (t / den) = e: infinite order unless that rational system
-        # is consistent, and then the order is the denominator of t / den
-        t = block_solve(group.relations, inverse, e.coords)
-        if t is None:
-            return None
-        den = inverse[1]
+    lu = group.block_lu
+    if lu is not None and lu.rank == lu.size:
+        # relations @ (t / den) = e: the leading block fixes t, and e has
+        # infinite order unless the rows below it agree; the order is then
+        # the denominator of t / den
+        rel, k, den = group.relations, lu.size, abs(lu.minor)
+        t = lu.solve(e.coords[:k])
+        for i in range(k, rel.rows):
+            if sum(map(mul, rel.row(i), t)) != den * e.coords[i]:
+                return None
         return den // gcd(den, *t)
     # the integers n with n * e in the relation span: [[order]], or [] for infinite order
     multiples = preimage_lattice(IntMatrix.from_columns([e.coords], rows=group.generator_count), group.relations)

@@ -18,7 +18,8 @@ also reads; the stage keeps that cokernel, so W is eliminated once per
 stage. Every torsion step runs modulo c = |H1(M)/G|, the product of W's
 pivots. On an admissible stage G is all of H1(M), so c = 1 and the torsion
 is trivial with no elimination. ``principal_lattice_basis`` still takes the
-kernel of the peripheral table.
+kernel of the peripheral table, but starts its elimination after Lambda's
+block, from the manifold's LU and per-knot solves.
 
 The global pairing of two ideles is the sum over knots of the local
 intersection numbers; reciprocity (vanishing on principal pairs) is
@@ -29,10 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 
 from .abelian import GroupElement
 from .errors import BadInput, DivisorNotPrincipal, SupportOutsideLink, json_int
-from .linalg import IntMatrix, hermite_basis_mod, hermite_coordinates, preimage_lattice, smith_diagonal_mod
+from .linalg import IntMatrix, hermite_basis_mod, hermite_coordinates, kernel_basis, smith_diagonal_mod
 from .local import ComplementHomology, PeripheralClass, local_intersection
 
 __all__ = [
@@ -198,18 +200,18 @@ def delta_solution(comp: ComplementHomology, divisor: Divisor) -> tuple[list[int
 
     Returns (t, idele). With ell_K the surgery half of K's reference
     longitude (``comp.longitude_coords``), t solves
-    surgery_matrix @ t = sum_K d_K ell_K. The cached inverse of H1(M)'s
-    relations (Lambda @ N = den * I) gives t = N @ rhs / den, and
-    N @ rhs = sum_K d_K t_K is read off each knot's cached solve
-    (``Manifold.knot_solution``), so no mat-vec is repeated. The
-    meridian coefficient at K is K's whole reference longitude read against
-    (t, -d): ell_K . t - sum_{K' != K} lk(K, K') d_{K'}. Raises
+    surgery_matrix @ t = sum_K d_K ell_K. Each knot's cached solve
+    (``Manifold.knot_solution``) has Lambda t_K = den * ell_K with
+    den = |det Lambda| from H1(M)'s LU of Lambda, so t = sum_K d_K t_K / den
+    and no solve is repeated. The meridian coefficient at K is K's whole
+    reference longitude read against (t, -d):
+    ell_K . t - sum_{K' != K} lk(K, K') d_{K'}. Raises
     DivisorNotPrincipal when the divisor class is nonzero in H1(M), that is
     when that quotient is not integral.
     """
     require_support(comp.link, divisor.support)
     man = comp.manifold
-    den = man.h1.block_inverse[1]
+    den = abs(man.h1.block_lu.minor)
     scaled = [0] * len(man.surgery_names)
     for k, c in divisor.parts:
         scaled = [x + c * y for x, y in zip(scaled, man.knot_solution(k).t)]
@@ -235,9 +237,33 @@ def _idele_from_pairs(link, vec) -> Idele:
 
 
 def principal_lattice_basis(comp: ComplementHomology) -> list[Idele]:
-    """Basis of the lattice of principal ideles supported on the sublink."""
-    basis = preimage_lattice(comp.peripheral_matrix(), comp.relations)
-    return [_idele_from_pairs(comp.link, row) for row in basis]
+    """Basis of the lattice of principal ideles supported on the sublink.
+
+    It is ``preimage_lattice(comp.peripheral_matrix(), comp.relations)``:
+    the kernel of [peripheral | relations], cut to the peripheral columns
+    x_b (knot b's meridian) and y_b (its longitude). Its elimination starts
+    after Lambda's block, the first s relation columns u_i, pivoted on
+    Lambda's rows. With d = det Lambda, sigma its sign and t_b the cached
+    solve of knot b (Lambda t_b = |d| ell_b), that state is, over den = d,
+    Lambda's row i: sigma t_b[i] under y_b and 0 under x_b, pivot u_i;
+    knot row a: d [a = b] under x_b and d lk(K_a, K_b) - sigma ell_a . t_b
+    under y_b. ``kernel_basis`` goes on from there, and its Hermite basis
+    is canonical, so it is the one the whole elimination gives.
+    """
+    man, link = comp.manifold, comp.link
+    s, width = len(man.surgery_names), 2 * len(link)
+    d = man.h1.block_lu.minor
+    sigma = 1 if d > 0 else -1
+    ts = [man.knot_solution(b).t for b in link]
+    rows = [[v for t in ts for v in (0, sigma * t[i])] for i in range(s)]
+    for a, k in enumerate(link):
+        row = comp.longitude_coords(k)
+        ell, lk = row[:s], row[s:]
+        rows.append(
+            [v for b, t in enumerate(ts) for v in (d if a == b else 0, d * lk[b] - sigma * sum(map(mul, ell, t)))]
+        )
+    kernel = kernel_basis(rows, width + s, range(width, width + s), d)
+    return [_idele_from_pairs(link, v) for v in kernel if any(v[:width])]
 
 
 def _radical_invariants(lam: IntMatrix, w: list[list[int]]) -> tuple[int, ...]:

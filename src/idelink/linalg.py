@@ -12,13 +12,16 @@ and the exactness check. Its readers differ in the column order they pass,
 in whether the rows above each pivot are cleared, and in what they read:
 ``rank_and_minor`` (and ``determinant``) reads the rank and a signed
 maximal minor, columns left to right, and reads no row, so it leaves the
-rows above alone; ``leading_block_inverse`` reads the inverse (n, den) of
-the leading square block off ``[top | I]``, which answers element tests
-against every surgery matrix; ``integer_kernel`` reads the rational
-kernel, columns right to left, so the free columns are the Hermite pivot
-columns of the kernel, and Hermite-reduces its integral lattice modulo the
-nullspace denominator (Domich-Kannan-Trotter). No kernel takes the Smith
-form, whose transforms suffer coefficient growth.
+rows above alone; ``FractionFreeLU`` runs that same forward elimination and
+keeps its record, a fraction-free LU (Nakos-Turner-Williams), so one
+elimination of a surgery matrix gives its determinant and then solves
+every right-hand side; ``kernel_basis`` (``integer_kernel``) reads the
+rational kernel, columns right to left, so the free columns are the
+Hermite pivot columns of the kernel, and Hermite-reduces its integral
+lattice modulo the nullspace denominator (Domich-Kannan-Trotter); a caller
+that already knows the elimination's state after some pivots resumes it
+there. No kernel takes the Smith form, whose transforms suffer
+coefficient growth.
 
 Every lattice question "which x satisfy a @ x in colspan(b)?" (principal
 ideles, subgroups generated by classes, solutions modulo a subgroup) goes
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .errors import json_int
 
@@ -315,7 +319,7 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     )
 
 
-def _gauss_jordan(work: list[list[int]], order, reduced: bool) -> tuple[list[int], int, int]:
+def _gauss_jordan(work: list[list[int]], order, reduced: bool, pivots=(), den: int = 1, steps=None) -> tuple[list[int], int, int]:
     """Fraction-free (Bareiss 1968) Gauss-Jordan elimination of the rows ``work``, in place.
 
     Columns are visited in ``order``. Each takes as pivot the first row at or
@@ -328,13 +332,23 @@ def _gauss_jordan(work: list[list[int]], order, reduced: bool) -> tuple[list[int
     pivot rows and columns, and ``sign * den`` the determinant of a square
     nonsingular input. Every entry is, up to sign, a minor of the input, and
     every division is checked exact.
+
+    ``pivots`` and ``den`` resume an elimination from a state it reached:
+    those columns are pivoted (pivot i in row i) and already deleted from
+    ``work``, and ``order`` lists only columns still there. Given a list
+    ``steps``, a forward (not ``reduced``) run appends per pivot the row it
+    swapped into place, the pivot, the multipliers it popped below it and
+    the pivot row, which no later step touches: ``FractionFreeLU`` replays
+    them on a right-hand side.
     """
-    live = list(range(len(work[0]))) if work else []
+    pivots = list(pivots)
+    width = len(work[0]) + len(pivots) if work else 0
+    taken = set(pivots)
+    live = [c for c in range(width) if c not in taken]
     # total: the sum of the entries the next step may read; a step's floor
     # remainders share the sign of den, so they all vanish iff their sum does
-    total = sum(map(sum, work))
-    pivots: list[int] = []
-    den = sign = 1
+    total = sum(map(sum, work if reduced else work[len(pivots) :]))
+    sign = 1
     for c in order:
         r = len(pivots)
         if r == len(work):
@@ -359,25 +373,100 @@ def _gauss_jordan(work: list[list[int]], order, reduced: bool) -> tuple[list[int
         if den * after != pv * (total - pv - fsum - psum) - fsum * psum:
             raise ArithmeticError("inexact division in fraction-free elimination")
         total = after + psum if reduced else after
+        if steps is not None:
+            steps.append((found, pv, column, prow))
         den = pv
         pivots.append(c)
     return pivots, den, sign
 
 
-def _fraction_free_nullspace(a: IntMatrix) -> tuple[list[int], list[int], list[list[int]], int]:
-    """Rational kernel of ``a`` by ``_gauss_jordan``, pivot columns chosen right to left.
+class FractionFreeLU:
+    """Fraction-free LU factorization of a square integer matrix A.
+
+    The record of ``_gauss_jordan``'s forward elimination of A, columns left
+    to right (Bareiss 1968; Nakos-Turner-Williams 1997): per pivot, the row
+    swapped into place, the pivot, the multipliers cleared below it and the
+    pivot row. ``rank`` and ``minor`` are ``rank_and_minor(A)``'s, so for a
+    nonsingular A ``minor`` is det A, and ``solve`` then answers every
+    right-hand side from the one elimination.
+    """
+
+    __slots__ = ("matrix", "rank", "minor", "_steps")
+
+    def __init__(self, a: IntMatrix):
+        if a.rows != a.cols:
+            raise ValueError("LU factorization of a non-square matrix")
+        steps: list = []
+        pivots, den, sign = _gauss_jordan(a.to_rows(), range(a.cols), False, steps=steps)
+        self.matrix = a
+        self.rank = len(pivots)
+        self.minor = sign * den
+        self._steps = steps
+
+    @property
+    def size(self) -> int:
+        return self.matrix.rows
+
+    def solve(self, c) -> tuple[int, ...]:
+        """The integer t with A @ t = |det A| * c, for a nonsingular A.
+
+        The steps are replayed on c, as on one more column of A, and the
+        triangular system of the pivot rows is back-substituted. A's solution
+        is unique, so one final check of A @ t = |det A| * c proves every
+        division exact; ArithmeticError when it fails, as on a corrupted
+        factor, or when A is singular.
+        """
+        a, steps = self.matrix, self._steps
+        if self.rank < a.rows:
+            raise ArithmeticError("solve against a singular matrix")
+        if len(c) != a.rows:
+            raise ValueError("right-hand side length disagrees with the factor's size")
+        x = list(c)
+        den = 1
+        for r, (found, pv, column, _) in enumerate(steps):
+            if found != r:
+                x[r], x[found] = x[found], x[r]
+            xr = x[r]
+            x[r + 1 :] = [(pv * y - f * xr) // den for y, f in zip(x[r + 1 :], column)]
+            den = pv
+        # den is the last pivot, det A up to sign; pivot row r reads
+        # pv_r * z_r + row_r . z[r + 1:] = den * x_r for z = den * A^-1 c
+        z: list[int] = []
+        for r in range(len(steps) - 1, -1, -1):
+            _, pv, _, row = steps[r]
+            z.insert(0, (den * x[r] - sum(map(mul, row, z))) // pv)
+        t = tuple(z) if den > 0 else tuple(-v for v in z)
+        den = abs(den)
+        if any(sum(map(mul, a.row(i), t)) != den * v for i, v in enumerate(c)):
+            raise ArithmeticError("inexact division in a fraction-free solve")
+        return t
+
+
+def leading_block_lu(a: IntMatrix) -> FractionFreeLU | None:
+    """``FractionFreeLU`` of the leading ``a.cols x a.cols`` block, or None when ``a`` has fewer rows."""
+    k = a.cols
+    if a.rows < k:
+        return None
+    return FractionFreeLU(a if a.rows == k else IntMatrix(k, k, a.entries[: k * k]))
+
+
+def _fraction_free_nullspace(work: list[list[int]], width: int, pivots=(), den: int = 1) -> tuple[list[int], list[int], list[list[int]], int]:
+    """Rational kernel of the rows ``work`` by ``_gauss_jordan``, pivot columns chosen right to left.
 
     A column is then free exactly when some kernel vector has its first
-    nonzero coordinate there. Returns ``(free, pivots, m, den)``: the free
+    nonzero coordinate there. ``pivots`` and ``den`` resume from a state the
+    elimination reaches, as in ``_gauss_jordan``; ``width`` counts every
+    column, deleted ones too. Returns ``(free, pivots, m, den)``: the free
     and pivot columns in ascending order, and an integer matrix ``m`` (one
     row per free column) with ``den >= 1`` such that ``x`` lies in the
     rational kernel if and only if ``x[pivots] = x[free] @ m / den``.
     """
-    work = a.to_rows()
-    found, den, _ = _gauss_jordan(work, range(a.cols - 1, -1, -1), True)
+    taken = set(pivots)
+    order = [c for c in range(width - 1, -1, -1) if c not in taken]
+    found, den, _ = _gauss_jordan(work, order, True, pivots, den)
     # row i reads den * x[found[i]] + sum_t work[i][t] * x[free[t]] = 0
     rows = sorted(range(len(found)), key=found.__getitem__)
-    free = [c for c in range(a.cols) if c not in found]
+    free = [c for c in range(width) if c not in found]
     sign = -1 if den > 0 else 1
     m = [[sign * work[i][t] for i in rows] for t in range(len(free))]
     return free, sorted(found), m, abs(den)
@@ -528,7 +617,12 @@ def hermite_coordinates(basis: list, v) -> list[int]:
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:
-    """Hermite basis of {x : a @ x = 0} over the integers, as matrix columns.
+    """Hermite basis of {x : a @ x = 0} over the integers, as matrix columns: ``kernel_basis`` of a's rows."""
+    return IntMatrix.from_columns(kernel_basis(a.to_rows(), a.cols), rows=a.cols)
+
+
+def kernel_basis(work: list[list[int]], width: int, pivots=(), den: int = 1) -> list[list[int]]:
+    """Hermite basis of the integer kernel of the rows ``work``, one vector per basis element.
 
     No Smith form is involved. A fraction-free nullspace with pivot columns
     chosen right to left gives the free columns, which are exactly the
@@ -540,14 +634,21 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     already reduced above their pivots, which all lie among the free columns,
     so the output is the canonical, saturated, sign-normalized Hermite basis
     of the kernel.
+
+    A caller that knows the state the elimination reaches after its first
+    pivots, the rightmost columns, each of which takes a pivot, passes it as
+    ``work`` (those columns deleted), ``pivots`` and ``den``, as
+    ``_gauss_jordan`` resumes; ``width`` counts every column. The pivot rows
+    may differ from the ones the whole elimination would pick, but the
+    output is canonical, so it is the same.
     """
-    free, pivots, m, den = _fraction_free_nullspace(a)
+    free, pivots, m, den = _fraction_free_nullspace(work, width, pivots, den)
     k, p = len(free), len(pivots)
     gens = [m[i] + [1 if j == i else 0 for j in range(k)] for i in range(k)]
-    cols = []
+    vectors = []
     for row in hermite_basis_mod(gens, p + k, den)[p:]:
         y = row[p:]
-        x = [0] * a.cols
+        x = [0] * width
         for f, t in zip(free, y):
             x[f] = t
         for j, c in enumerate(pivots):
@@ -555,8 +656,8 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
             if rem:
                 raise ArithmeticError("kernel vector does not lift to an integer vector")
             x[c] = q
-        cols.append(x)
-    return IntMatrix.from_columns(cols, rows=a.cols)
+        vectors.append(x)
+    return vectors
 
 
 def preimage_lattice(a: IntMatrix, b: IntMatrix) -> list[list[int]]:
@@ -584,41 +685,6 @@ def hermite_row_basis(rows: list) -> list[list[int]]:
         return []
     n = len(rows[0])
     return preimage_lattice(IntMatrix.identity(n), IntMatrix.from_columns(rows, rows=n))
-
-
-def leading_block_inverse(a: IntMatrix) -> tuple[IntMatrix, int] | None:
-    """Fraction-free inverse ``(n, den)`` of the leading ``a.cols x a.cols`` block.
-
-    With ``top`` that block, ``top @ n = den * I`` and ``den = |det top| >= 1``.
-    ``_gauss_jordan`` on ``[top | I]`` turns the left block into den * I and
-    deletes it, leaving den * top^-1. Returns None when ``a`` has fewer rows
-    than columns or the block is singular.
-    """
-    k = a.cols
-    if a.rows < k:
-        return None
-    work = [list(a.row(i)) + [1 if j == i else 0 for j in range(k)] for i in range(k)]
-    pivots, den, _ = _gauss_jordan(work, range(k), True)
-    if len(pivots) < k:
-        return None
-    sign = -1 if den < 0 else 1
-    n = IntMatrix(k, k, tuple(sign * x for row in work for x in row))
-    return n, sign * den
-
-
-def block_solve(a: IntMatrix, inverse: tuple[IntMatrix, int], c) -> tuple[int, ...] | None:
-    """Integer t with ``a @ t = den * c``, or None when ``a @ x = c`` has no rational solution.
-
-    ``inverse`` is ``leading_block_inverse(a) = (n, den)``. The leading block
-    fixes ``t = n @ c[:a.cols]``; only the rows below it are checked.
-    """
-    n, den = inverse
-    k = a.cols
-    t = n.mul_vector(c[:k])
-    for i in range(k, a.rows):
-        if sum(x * y for x, y in zip(a.row(i), t)) != den * c[i]:
-            return None
-    return t
 
 
 def solve_integer(a: IntMatrix, c) -> list[int] | None:
@@ -666,11 +732,12 @@ def solve_mod_subgroup(a: IntMatrix, b: IntMatrix, c) -> list[int] | None:
 def rank_and_minor(a: IntMatrix) -> tuple[int, int]:
     """Rank r of ``a`` and a nonzero r x r minor, by ``_gauss_jordan`` without reduction.
 
-    Only the pivots are read, so no pivot clears the rows above it: that
-    would double the cost of every manifold load. Columns are taken left to
-    right and a column with no pivot left is skipped, so the minor sits on
-    the first r independent columns; it is 1 when r = 0. Up to sign it is a
-    minor of ``a``, and for a square nonsingular ``a`` the determinant.
+    Only the pivots are read, so no pivot clears the rows above it. Columns
+    are taken left to right and a column with no pivot left is skipped, so
+    the minor sits on the first r independent columns; it is 1 when r = 0.
+    Up to sign it is a minor of ``a``, and for a square nonsingular ``a``
+    the determinant. A square group reads the same pair off its
+    ``FractionFreeLU``, which keeps the elimination for later solves.
     """
     pivots, den, sign = _gauss_jordan(a.to_rows(), range(a.cols), False)
     return len(pivots), sign * den

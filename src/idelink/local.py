@@ -29,18 +29,19 @@ so the class group and the Kummer covers of a stage share one.
 The preferred longitude of K is the exact generator of the kernel of
 H1(boundary torus) -> H1(M - K), sign-normalized to positive longitude
 coefficient; its longitude coefficient equals the order of [K] in H1(M).
-It has a closed form on the cached fraction-free inverse (N, den) of the
-surgery matrix Lambda (Lambda N = den * I): with ell_K the row of linking
-numbers of K with the surgery link and t = N ell_K^T,
+It has a closed form on the manifold's fraction-free LU of the surgery
+matrix Lambda: with ell_K the row of linking numbers of K with the surgery
+link, den = |det Lambda| and t the integer solution of Lambda t = den ell_K^T,
 
     o_K = den / gcd(den, t),    lambda_K = (o_K * ell_K . t / den, o_K),
 
 that is o_K times the rational kernel class (ell_K Lambda^-1 ell_K^T, 1),
 o_K being the least multiple that makes it integral. t and o_K are the
 manifold's one solve per knot, ``Manifold.knot_solution``, computed on first
-use and kept: ``Manifold.knot_order``, ``preferred_longitude`` and the
-divisor map ``ideles.delta_solution`` all read it, so a knot costs one
-mat-vec per manifold, and no one-knot complement or integer kernel is built.
+use and kept: ``Manifold.knot_order``, ``preferred_longitude``, the
+divisor map ``ideles.delta_solution`` and the principal lattice all read
+it, so a knot costs one solve per manifold, and no one-knot complement or
+integer kernel is built.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from functools import cached_property
 
 from .abelian import FgAbelianGroup, GroupElement
 from .errors import KnotOutsideLink, MismatchedKnot
-from .linalg import IntMatrix
+from .linalg import FractionFreeLU, IntMatrix
 from .presentation import Manifold
 
 __all__ = [
@@ -123,7 +124,8 @@ class ComplementHomology(FgAbelianGroup):
     The one owner of a stage's data. It reads whole rows, as the module
     docstring says, relying on Lambda's symmetry and the zero diagonal of
     ``lk_mutual``, which ``load_and_validate`` checks. Its relations lead
-    with Lambda, so it reads H1(M)'s inverse.
+    with Lambda, so it reads H1(M)'s LU of Lambda, and an element test
+    checks the knot rows below it.
     """
 
     def __init__(self, manifold: Manifold, link: tuple[str, ...]):
@@ -141,8 +143,8 @@ class ComplementHomology(FgAbelianGroup):
         self._l0 = {k: row + tuple(m[b] for b in knot_rows) for k, row, m in zip(link, ell, mutual)}
 
     @property
-    def block_inverse(self) -> tuple[IntMatrix, int] | None:
-        return self.manifold.h1.block_inverse
+    def block_lu(self) -> FractionFreeLU | None:
+        return self.manifold.h1.block_lu
 
     @cached_property
     def cokernel(self) -> FgAbelianGroup:
@@ -172,14 +174,6 @@ class ComplementHomology(FgAbelianGroup):
 
     def class_of(self, a: PeripheralClass) -> GroupElement:
         return self.element(self.peripheral_coords(a))
-
-    def peripheral_matrix(self) -> IntMatrix:
-        """Columns (meridian_K, longitude_K) for K running through the link."""
-        cols = []
-        for k in self.link:
-            cols.append(list(self.meridian_coords(k)))
-            cols.append(list(self._l0[k]))
-        return IntMatrix.from_columns(cols, rows=self.generator_count)
 
 
 def complement_homology(manifold: Manifold, link=None) -> ComplementHomology:

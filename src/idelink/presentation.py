@@ -14,12 +14,14 @@ Conventions fixed here and used by every downstream module:
 * The surgery-corrected linking number of disjoint knots J, K is
   lk(J, K) - ell_J Lambda^{-1} ell_K^T, an exact rational number.
 
-Per-knot data is computed once. ``Manifold.knot_solution`` solves
-Lambda t = den * ell_K^T on the cached fraction-free inverse (N, den) of
-Lambda, so t_K = N ell_K^T, and keeps t_K with the order
-den / gcd(den, t_K) of [K] per knot name. ``knot_order``, the preferred
-longitude (``local``) and the divisor map (``ideles``) all read it, so a
-knot costs one mat-vec per manifold. An unknown name raises on every call;
+Lambda is eliminated once per manifold: ``load_and_validate`` reads
+|det Lambda| off the fraction-free LU that ``h1.block_lu`` keeps, and every
+later solve replays it. Per-knot data is computed once.
+``Manifold.knot_solution`` solves Lambda t = den * ell_K^T on that LU,
+den = |det Lambda|, and keeps t_K with the order den / gcd(den, t_K) of [K]
+per knot name. ``knot_order``, the preferred longitude (``local``), the
+divisor map and the principal lattice (``ideles``) all read it, so a knot
+costs one solve per manifold. An unknown name raises on every call;
 nothing is cached for it.
 """
 
@@ -76,7 +78,8 @@ class SurgeryPresentation:
 
         def matrix(rows, nrows, ncols, what):
             # entries before shape, so a row like "55" is refused as a non-integer
-            rows = [[json_int(v, f"{what} entry") for v in row] for row in rows]
+            label = f"{what} entry"
+            rows = [[v if v.__class__ is int else json_int(v, label) for v in row] for row in rows]
             if len(rows) != nrows or any(len(row) != ncols for row in rows):
                 raise BadDimensions(f"{what} must be {nrows}x{ncols}")
             return IntMatrix(nrows, ncols, tuple(v for row in rows for v in row))
@@ -148,10 +151,10 @@ class AdmissibilityCertificate:
 
 @dataclass(frozen=True)
 class KnotSolution:
-    """The solve of one knot against the cached inverse (N, den) of Lambda.
+    """The solve of one knot against the manifold's LU of Lambda.
 
-    ``t`` is N ell_K^T, so Lambda t = den * ell_K^T, and ``order`` is
-    den / gcd(den, t), the order of the knot's class in H1(M).
+    ``t`` solves Lambda t = den * ell_K^T with den = |det Lambda|, and
+    ``order`` is den / gcd(den, t), the order of the knot's class in H1(M).
     """
 
     t: tuple[int, ...]
@@ -203,17 +206,17 @@ class Manifold:
         return self.h1.element(self.presentation.lk_with_surgery.row(i))
 
     def knot_solution(self, name: str) -> KnotSolution:
-        """t_K = N ell_K^T and the order of [K], computed on the first call for the knot and kept.
+        """t_K and the order of [K], computed on the first call for the knot and kept.
 
-        (N, den) is ``h1.block_inverse``, so Lambda t_K = den * ell_K^T and
-        [K] = t_K / den in Lambda^-1 Z^s / Z^s. Raises UnknownKnot on every
-        call for an undeclared name.
+        t_K is ``h1.block_lu.solve(ell_K)``, so Lambda t_K = den * ell_K^T with
+        den = |det Lambda|, and [K] = t_K / den in Lambda^-1 Z^s / Z^s. Raises
+        UnknownKnot on every call for an undeclared name.
         """
         solved = self._knot_solutions.get(name)
         if solved is None:
             ell = self.presentation.lk_with_surgery.row(self.knot_index(name))
-            n, den = self.h1.block_inverse
-            t = n.mul_vector(ell)
+            lu = self.h1.block_lu
+            t, den = lu.solve(ell), abs(lu.minor)
             solved = self._knot_solutions[name] = KnotSolution(t, den, den // gcd(den, *t))
         return solved
 
@@ -322,7 +325,7 @@ def load_and_validate(p: SurgeryPresentation) -> Manifold:
             raise DuplicateName(f"name {name!r} used twice")
         seen.add(name)
     manifold = Manifold(p)
-    # |det Lambda| is the modulus of H1(M), so it is computed once, here
+    # |det Lambda| is the modulus of H1(M): the LU of Lambda that every solve reads is taken here
     if manifold.h1.modulus is None:
         raise NotQHS3("surgery matrix is singular")
     return manifold

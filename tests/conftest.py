@@ -43,15 +43,15 @@ def record_smith_forms(monkeypatch) -> list:
 
 
 def count_linear_algebra(monkeypatch) -> dict:
-    """Counts of mat-vecs, element orders and group constructions from here on.
+    """Counts of mat-vecs, LU solves, element orders and group constructions from here on.
 
     ``element_order`` is counted under each name the package binds it to.
     """
     from idelink import abelian, covers, fuzz
     from idelink.abelian import FgAbelianGroup
-    from idelink.linalg import IntMatrix
+    from idelink.linalg import FractionFreeLU, IntMatrix
 
-    counts = {"mul_vector": 0, "element_order": 0, "FgAbelianGroup": 0}
+    counts = {"mul_vector": 0, "solve": 0, "element_order": 0, "FgAbelianGroup": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -61,6 +61,7 @@ def count_linear_algebra(monkeypatch) -> dict:
         return wrapper
 
     monkeypatch.setattr(IntMatrix, "mul_vector", counting("mul_vector", IntMatrix.mul_vector))
+    monkeypatch.setattr(FractionFreeLU, "solve", counting("solve", FractionFreeLU.solve))
     monkeypatch.setattr(FgAbelianGroup, "__init__", counting("FgAbelianGroup", FgAbelianGroup.__init__))
     order = counting("element_order", abelian.element_order)
     for module in (abelian, covers, fuzz):

@@ -6,7 +6,9 @@ kept here as independent references for them: a Hermite row basis by
 repeated extended-gcd row moves, reduction of a vector against such a
 basis, and a rational solve by Fraction Gauss-Jordan. The idele class group
 is checked against the route it replaced: the subgroup of H1(M - L)
-generated by the peripheral table, a kernel of width 2l + s.
+generated by the peripheral table, a kernel of width 2l + s. The principal
+lattice is checked against the whole kernel of [peripheral | relations],
+which the library now resumes after Lambda's block.
 """
 
 from fractions import Fraction
@@ -88,6 +90,23 @@ def fraction_solve(rows, rhs):
     return [row[n] for row in aug]
 
 
+def peripheral_matrix(comp):
+    """The peripheral table of a stage: columns (meridian_K, longitude_K) for K running through the link."""
+    from idelink.linalg import IntMatrix
+
+    cols = [c for k in comp.link for c in (comp.meridian_coords(k), comp.longitude_coords(k))]
+    return IntMatrix.from_columns(cols, rows=comp.generator_count)
+
+
+def principal_lattice(comp) -> list:
+    """The principal ideles of a stage through ``preimage_lattice`` of [peripheral | relations]."""
+    from idelink.ideles import Idele
+    from idelink.linalg import preimage_lattice
+
+    basis = preimage_lattice(peripheral_matrix(comp), comp.relations)
+    return [Idele.of({k: (row[2 * i], row[2 * i + 1]) for i, k in enumerate(comp.link)}) for row in basis]
+
+
 def peripheral_class_group(comp) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(class invariants, cokernel invariants) of a stage through the peripheral kernel.
 
@@ -97,7 +116,7 @@ def peripheral_class_group(comp) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     from idelink.abelian import subgroup_invariant_factors
 
-    peripheral = comp.peripheral_matrix()
+    peripheral = peripheral_matrix(comp)
     class_invariants = subgroup_invariant_factors(comp, map(peripheral.column, range(peripheral.cols)))
     man = comp.manifold
     coker = man.h1.quotient(man.knot_class(k).coords for k in comp.link)

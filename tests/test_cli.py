@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import idelink
-from idelink import abelian, cli, linalg
+from idelink import cli, linalg
 from idelink.cli import run_command
 from idelink.presentation import presentation_to_dict
 
@@ -129,7 +129,14 @@ def test_kummer(capsys, hopf_path):
     }
 
 
-def test_h1_commands_read_one_inverse_each_and_no_smith_form(capsys, tmp_path, monkeypatch):
+def test_each_stage_command_eliminates_lambda_once_and_takes_no_smith_form(capsys, tmp_path, monkeypatch):
+    """Every command loads the manifold afresh, and its one elimination of Lambda is the load's LU.
+
+    An elimination of Lambda is a ``_gauss_jordan`` call that starts from no
+    pivot and whose first s columns, on its first s rows, are Lambda's: the
+    LU, a ``rank_and_minor`` of Lambda, or a kernel whose relation columns
+    come first, as the whole kernel of [peripheral | relations] does.
+    """
     rng = random.Random(9909)
     while True:
         man = random_manifold(rng, 6, 4, 5)
@@ -137,36 +144,47 @@ def test_h1_commands_read_one_inverse_each_and_no_smith_form(capsys, tmp_path, m
             break
     path = tmp_path / "m.json"
     path.write_text(json.dumps(presentation_to_dict(man.presentation)))
-    calls = {"inverse": 0, "kernel": 0}
+    s, l = len(man.surgery_names), len(man.knot_names)
+    lam_columns = sorted(man.surgery_matrix.to_rows())  # Lambda is symmetric
+    eliminations = []
     kernel_widths = []
-    real_inverse, real_kernel = linalg.leading_block_inverse, linalg.integer_kernel
+    real_elimination, real_kernel = linalg._gauss_jordan, linalg.integer_kernel
 
-    def inverse(a):
-        calls["inverse"] += 1
-        return real_inverse(a)
+    def elimination(work, order, reduced, pivots=(), den=1, steps=None):
+        order = list(order)
+        if not pivots and len(work) >= s and len(order) >= s:
+            block = sorted([[work[i][c] for i in range(s)] for c in order[:s]])
+            eliminations.append(block == lam_columns)
+        return real_elimination(work, order, reduced, pivots, den, steps)
 
     def kernel(a):
-        calls["kernel"] += 1
         kernel_widths.append(a.cols)
         return real_kernel(a)
 
-    for module in (abelian, linalg):
-        monkeypatch.setattr(module, "leading_block_inverse", inverse)
+    monkeypatch.setattr(linalg, "_gauss_jordan", elimination)
     monkeypatch.setattr(linalg, "integer_kernel", kernel)
     smith_inputs = record_smith_forms(monkeypatch)
 
-    code, out = run(capsys, "info", str(path))
-    assert code == 0 and out["admissible"] is True
-    assert (calls["inverse"], calls["kernel"]) == (1, 0)
-    order = out["knots"]["K1"]["order"]
-    assert run(capsys, "class-group", str(path))[0] == 0
-    assert calls["inverse"] == 1  # the cokernel needs only |det Lambda|
-    s, l = len(man.surgery_names), len(man.knot_names)
+    def lambda_eliminations(command, *args):
+        eliminations.clear()
+        code, out = run(capsys, command, str(path), *args)
+        assert code == 0, (command, out)
+        return eliminations.count(True), out
+
+    count, out = lambda_eliminations("info")
+    assert out["admissible"] is True and count == 1
+    k1 = man.knot_names[0]
+    divisor = f"{k1}={out['knots'][k1]['order']}"
+    count, out = lambda_eliminations("delta", "--divisor", divisor)
+    assert count == 1
+    assert lambda_eliminations("longitude", k1)[0] == 1
+    assert lambda_eliminations("is-principal", "--a", json.dumps(out["idele"]))[0] == 1
+    assert lambda_eliminations("kummer", "--divisor", divisor, "--n", "3")[0] == 1
+    assert lambda_eliminations("principal-basis")[0] == 1  # its kernel starts after Lambda's block
+    kernel_widths.clear()
+    assert lambda_eliminations("class-group")[0] == 1  # the cokernel needs only |det Lambda|
     assert 2 * l + s not in kernel_widths  # class-group takes no kernel of the peripheral table
-    assert smith_inputs == []  # and no Smith form: invariant factors come modulo a maximal minor
-    assert run(capsys, "kummer", str(path), "--divisor", f"K1={order}", "--n", "3")[0] == 0
-    assert calls["inverse"] == 2  # the 2-chain solve
-    assert smith_inputs == []
+    assert smith_inputs == []  # and no command takes a Smith form: invariant factors come modulo a maximal minor
 
 
 def test_hilbert(capsys, hopf_path):

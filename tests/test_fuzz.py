@@ -110,18 +110,22 @@ def test_check_trial_statuses_cover_every_property():
 
 
 def test_linking_symmetry_checks_the_order_against_the_smith_diagonal(monkeypatch):
-    # a doubled maximal minor doubles |H1| and, before, |det Lambda| alike; the
-    # product of the invariant factors modulo that minor still reads |H1|
-    from idelink import abelian, linalg
+    # a doubled maximal minor, as the group reads it off the LU of Lambda,
+    # doubles |H1|; the product of the invariant factors modulo that minor
+    # still reads |H1|, while every solve keeps the LU's own |det Lambda|
+    from functools import cached_property
 
-    real = linalg.rank_and_minor
+    from idelink.abelian import FgAbelianGroup
 
-    def doubled(a):
-        rank, minor = real(a)
+    real = FgAbelianGroup._rank_and_minor.func
+
+    def doubled(group):
+        rank, minor = real(group)
         return rank, 2 * minor
 
-    for module in (abelian, linalg):
-        monkeypatch.setattr(module, "rank_and_minor", doubled)
+    corrupted = cached_property(doubled)
+    corrupted.__set_name__(FgAbelianGroup, "_rank_and_minor")
+    monkeypatch.setattr(FgAbelianGroup, "_rank_and_minor", corrupted)
     man = load_and_validate(
         presentation_from_dict(
             {

@@ -19,9 +19,10 @@ from idelink.ideles import (
 )
 from idelink.linalg import IntMatrix, smith_normal_form
 from idelink.local import PeripheralClass, complement_homology
+from idelink.presentation import load_and_validate
 
 from conftest import load_manifold, random_manifold
-from oracles import fraction_solve, hermite_row_basis, peripheral_class_group
+from oracles import fraction_solve, hermite_row_basis, peripheral_class_group, peripheral_matrix, principal_lattice
 
 
 def test_idele_normalization():
@@ -251,7 +252,7 @@ def test_cokernel_is_h1_modulo_the_knot_classes():
         man = random_manifold(rng, 6, 5, rng.choice((2, 5)))
         link = [k for k in man.knot_names if rng.random() < 0.6] or [man.knot_names[0]]
         comp = complement_homology(man, link)
-        peripheral = comp.peripheral_matrix()
+        peripheral = peripheral_matrix(comp)
         direct = comp.quotient(peripheral.column(j) for j in range(peripheral.cols))
         data = idele_class_group(comp)
         assert data.coker_invariants == direct.invariant_factors, (man.presentation, link)
@@ -309,6 +310,23 @@ def test_principal_lattice_and_class_group_match_the_graph_over_y():
         non_admissible += not man.generates_h1(link)
     assert torsion > 10, torsion
     assert non_admissible > 50, non_admissible
+
+
+def test_principal_lattice_basis_matches_the_whole_kernel_of_the_peripheral_table():
+    """The kernel resumed after Lambda's block against the kernel of [peripheral | relations]."""
+    rng = random.Random(1818)
+    stages = empty_surgery = sublinks = negative = 0
+    for _ in range(1100):
+        man = random_manifold(rng, 6, 5, rng.choice((1, 3, 7)))
+        knots = list(man.knot_names)
+        link = None if rng.random() < 0.4 else rng.sample(knots, rng.randint(1, len(knots)))
+        comp = complement_homology(man, link)
+        assert principal_lattice_basis(comp) == principal_lattice(comp), (man.presentation, comp.link)
+        stages += 1
+        empty_surgery += not man.surgery_names
+        sublinks += len(comp.link) < len(knots)
+        negative += man.h1.block_lu.minor < 0
+    assert stages >= 1000 and empty_surgery > 50 and sublinks > 300 and negative > 200, (empty_surgery, sublinks, negative)
 
 
 def test_support_validation(hopf):
@@ -378,6 +396,7 @@ def test_linking_corollary_in_the_three_sphere():
 
 
 def test_is_principal_reads_the_manifold_inverse(monkeypatch):
+    """Every stage's element tests solve on the manifold's one LU of Lambda."""
     from idelink import abelian, linalg
 
     rng = random.Random(5150)
@@ -385,22 +404,25 @@ def test_is_principal_reads_the_manifold_inverse(monkeypatch):
         man = random_manifold(rng, 6, 4, 5)
         if len(man.surgery_names) >= 3 and len(man.knot_names) >= 3:
             break
-    calls = {"inverse": 0}
-    real_inverse = linalg.leading_block_inverse
+    calls = {"lu": 0}
+    real_lu = linalg.leading_block_lu
 
-    def inverse(a):
-        calls["inverse"] += 1
-        return real_inverse(a)
+    def lu(a):
+        calls["lu"] += 1
+        return real_lu(a)
 
     for module in (abelian, linalg):
-        monkeypatch.setattr(module, "leading_block_inverse", inverse)
+        monkeypatch.setattr(module, "leading_block_lu", lu)
+    man = load_and_validate(man.presentation)  # a fresh load, under the spy
+    assert calls["lu"] == 1
     knots = man.knot_names
     man.knot_order(knots[0])
-    assert calls["inverse"] == 1
+    assert calls["lu"] == 1
     for link in (knots[:1], knots[1:], knots):
         comp = complement_homology(man, link)
         k = link[0]
         a = delta_from_divisor(comp, Divisor.of({k: man.knot_order(k)}))
         assert is_principal(comp, a)
         assert not is_principal(comp, a + Idele.of({k: (1, 0)}))  # a meridian has infinite order
-    assert calls["inverse"] == 1
+        assert principal_lattice_basis(comp) == principal_lattice(comp)
+    assert calls["lu"] == 1

@@ -4,8 +4,8 @@ The Smith form is cross-checked against the determinantal-divisor oracle
 (gcd of all k x k minors), the Bareiss determinant against cofactor
 expansion, rank_and_minor against the Smith diagonal, solve_mod_subgroup against exhaustive search, the integer
 kernel against the Smith-transform route it replaced, preimage_lattice
-against a second Hermite pass over its sliced kernel, the solves that run
-on leading_block_inverse against the Smith-form solves they replaced, and
+against a second Hermite pass over its sliced kernel, the fraction-free LU
+against frozen cases and the Fraction solve, and
 smith_diagonal_mod against the full Smith form of the generators with
 d * I appended. The Hermite oracles are the plain eliminations in
 ``oracles.py``.
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_manifold, record_smith_forms
-from oracles import hermite_row_basis, lattice_reduce
+from oracles import fraction_solve, hermite_row_basis, lattice_reduce
 
 from idelink import (
     Divisor,
@@ -41,7 +41,7 @@ from idelink.linalg import (
     hermite_coordinates,
     hstack,
     integer_kernel,
-    leading_block_inverse,
+    leading_block_lu,
     preimage_lattice,
     rank_and_minor,
     smith_diagonal_mod,
@@ -409,9 +409,10 @@ def test_solve_integer_and_rational_agree():
                 ) != tuple(target)
 
 
-def random_nonsingular_block(rng: random.Random, t: int) -> IntMatrix:
-    """Square or tall, entries up to 50, with a nonsingular leading square block."""
-    cols = rng.randint(0 if t % 7 == 0 else 1, 5)
+def random_nonsingular_block(rng: random.Random, t: int, cols: int | None = None) -> IntMatrix:
+    """Square or tall, entries up to 50, with a nonsingular leading square block of ``cols`` (else up to 5) columns."""
+    if cols is None:
+        cols = rng.randint(0 if t % 7 == 0 else 1, 5)
     rows = cols if t % 2 else rng.randint(cols + 1, 7)
     bound = rng.choice((1, 3, 50))
     while True:
@@ -420,36 +421,67 @@ def random_nonsingular_block(rng: random.Random, t: int) -> IntMatrix:
             return m
 
 
-def test_leading_block_inverse_frozen_examples():
-    assert leading_block_inverse(IntMatrix.from_rows([[2, 1], [1, 3]])) == (
-        IntMatrix.from_rows([[3, -1], [-1, 2]]),
-        5,
-    )
-    # den is |det| even when the determinant is negative; rows below the block are ignored
-    assert leading_block_inverse(IntMatrix.from_rows([[-1, 0], [0, 2], [7, 7]])) == (
-        IntMatrix.from_rows([[-2, 0], [0, 1]]),
-        2,
-    )
-    # a zero leading entry takes a row swap
-    assert leading_block_inverse(IntMatrix.from_rows([[0, 1], [1, 0]])) == (
-        IntMatrix.from_rows([[0, 1], [1, 0]]),
-        1,
-    )
-    assert leading_block_inverse(IntMatrix(0, 0, ())) == (IntMatrix(0, 0, ()), 1)
-    assert leading_block_inverse(IntMatrix(3, 0, ())) == (IntMatrix(0, 0, ()), 1)
-    assert leading_block_inverse(IntMatrix.from_rows([[1, 2], [2, 4], [0, 1]])) is None
-    assert leading_block_inverse(IntMatrix.from_rows([[1, 2]])) is None
+def test_fraction_free_lu_frozen_examples():
+    # solve(e_i) is column i of |det| * the inverse of the leading block
+    lu = leading_block_lu(IntMatrix.from_rows([[2, 1], [1, 3]]))
+    assert (lu.size, lu.rank, lu.minor) == (2, 2, 5)
+    assert (lu.solve([1, 0]), lu.solve([0, 1])) == ((3, -1), (-1, 2))
+    # a negative determinant keeps its sign in the minor, and rows below the block are ignored
+    lu = leading_block_lu(IntMatrix.from_rows([[-1, 0], [0, 2], [7, 7]]))
+    assert (lu.rank, lu.minor, lu.solve([1, 0]), lu.solve([0, 1])) == (2, -2, (-2, 0), (0, 1))
+    # a zero leading entry takes a row swap, which flips the sign of the minor
+    lu = leading_block_lu(IntMatrix.from_rows([[0, 1], [1, 0]]))
+    assert (lu.rank, lu.minor, lu.solve([1, 0]), lu.solve([0, 1])) == (2, -1, (0, 1), (1, 0))
+    lu = leading_block_lu(IntMatrix.from_rows([[0, 2, 1], [3, 1, 0], [1, 0, 0]]))
+    assert (lu.minor, lu.solve([1, 0, 0]), lu.solve([0, 0, 1])) == (-1, (0, 0, 1), (1, -3, 6))
+    for empty in (IntMatrix(0, 0, ()), IntMatrix(3, 0, ())):
+        lu = leading_block_lu(empty)
+        assert (lu.size, lu.rank, lu.minor, lu.solve([])) == (0, 0, 1, ())
+    # fewer rows than columns: no leading square block
+    assert leading_block_lu(IntMatrix.from_rows([[1, 2]])) is None
+    # a singular block keeps rank_and_minor's rank and minor, and refuses to solve
+    lu = leading_block_lu(IntMatrix.from_rows([[1, 2], [2, 4], [0, 1]]))
+    assert (lu.rank, lu.minor) == rank_and_minor(IntMatrix.from_rows([[1, 2], [2, 4]])) == (1, 1)
+    with pytest.raises(ArithmeticError):
+        lu.solve([1, 0])
+    with pytest.raises(ValueError):
+        leading_block_lu(IntMatrix.identity(2)).solve([1])
 
 
-def test_leading_block_inverse_is_the_scaled_inverse():
+def test_fraction_free_lu_solve_matches_the_fraction_solve():
     rng = random.Random(5505)
-    for t in range(800):
-        a = random_nonsingular_block(rng, t)
+    blocks = [random_nonsingular_block(rng, t) for t in range(600)]
+    for k in (8, 12, 16, 20, 24):  # the sizes of the benchmark's surgery matrices
+        for _ in range(3):
+            blocks.append(random_nonsingular_block(rng, 1, cols=k))
+    for a in blocks:
         k = a.cols
-        top = IntMatrix(k, k, a.entries[: k * k])
-        n, den = leading_block_inverse(a)
-        assert den == abs(determinant(top))
-        assert top @ n == IntMatrix(k, k, tuple(den * x for x in IntMatrix.identity(k).entries))
+        top = [list(a.row(i)) for i in range(k)]
+        lu = leading_block_lu(a)
+        det = determinant(IntMatrix(k, k, a.entries[: k * k]))
+        assert (lu.rank, lu.minor) == (k, det)
+        for c in ([rng.randint(-9, 9) for _ in range(k)], [0] * k, top[0] if k else []):
+            assert list(lu.solve(c)) == [abs(det) * x for x in fraction_solve(top, c)]
+
+
+def test_a_corrupted_fraction_free_lu_raises_arithmetic_error():
+    rng = random.Random(7)
+    a = random_nonsingular_block(rng, 1, cols=6)
+    c = [rng.randint(-9, 9) for _ in range(6)]
+    assert list(leading_block_lu(a).solve(c)) == [abs(leading_block_lu(a).minor) * x for x in fraction_solve(a.to_rows(), c)]
+
+    def corrupted(step, part, index=None):
+        lu = leading_block_lu(a)
+        found, pv, column, row = lu._steps[step]
+        if part == "pivot":
+            lu._steps[step] = (found, pv + 1, column, row)
+        else:
+            (column if part == "multiplier" else row)[index] += 1
+        return lu
+
+    for lu in (corrupted(0, "multiplier", 2), corrupted(2, "multiplier", 0), corrupted(1, "row", 3), corrupted(0, "pivot"), corrupted(5, "pivot")):
+        with pytest.raises(ArithmeticError):
+            lu.solve(c)
 
 
 def solve_via_smith(a: IntMatrix, c) -> list[int] | None:

@@ -22,6 +22,7 @@ from idelink import linalg
 from idelink.presentation import SurgeryPresentation, presentation_from_dict, presentation_to_dict
 
 from conftest import HOPF, LENS5, count_linear_algebra, load_manifold, random_manifold
+from oracles import fraction_solve
 
 
 def test_lens5_homology(lens5):
@@ -365,16 +366,19 @@ def test_linking_number_is_symmetric(la, lb, framing):
 
 
 def test_knot_solution_matches_the_generic_element_route():
+    """t_K against |det Lambda| times the Fraction solve, the order against the element route."""
     from idelink.abelian import element_order
 
     rng = random.Random(3131)
     knots = nontrivial = 0
     for _ in range(240):
         man = random_manifold(rng, 5, 5, rng.choice((2, 3, 5)))
-        n, den = man.h1.block_inverse
+        lam = man.surgery_matrix
+        den = abs(linalg.determinant(lam)) if lam.rows else 1
         for k in man.knot_names:
             solved = man.knot_solution(k)
-            assert solved.t == n.mul_vector(man.presentation.lk_with_surgery.row(man.knot_index(k)))
+            ell = man.presentation.lk_with_surgery.row(man.knot_index(k))
+            assert solved.t == tuple(den * x for x in fraction_solve(lam.to_rows(), ell))
             assert solved.den == den
             assert man.knot_order(k) == solved.order == element_order(man.knot_class(k))
             assert man.knot_solution(k) is solved
@@ -383,12 +387,37 @@ def test_knot_solution_matches_the_generic_element_route():
     assert knots >= 600 and nontrivial >= 200, (knots, nontrivial)
 
 
+def test_linking_number_has_the_closed_form_on_the_cached_solve():
+    """lk(a, b) = (lk_mut * den - ell_a . t_b) / den, read off ``knot_solution(b)``.
+
+    The library still takes its Fraction solve; this is the closed form a
+    later change can route ``linking_number`` through.
+    """
+    rng = random.Random(2727)
+    pairs = fractional = 0
+    for _ in range(200):
+        man = random_manifold(rng, 6, 5, rng.choice((2, 3, 5)))
+        pres = man.presentation
+        for a in man.knot_names:
+            for b in man.knot_names:
+                if a == b:
+                    continue
+                solved = man.knot_solution(b)
+                ell_a = pres.lk_with_surgery.row(man.knot_index(a))
+                mutual = pres.lk_mutual[man.knot_index(a), man.knot_index(b)]
+                closed = Fraction(mutual * solved.den - sum(x * y for x, y in zip(ell_a, solved.t)), solved.den)
+                assert man.linking_number(a, b) == closed
+                pairs += 1
+                fractional += closed.denominator > 1
+    assert pairs > 1000 and fractional > 300, (pairs, fractional)
+
+
 def test_a_second_order_query_runs_no_linear_algebra(monkeypatch):
     man = random_manifold(random.Random(61), 5, 5, 5)
     first = {k: man.knot_order(k) for k in man.knot_names}
     counts = count_linear_algebra(monkeypatch)
     assert {k: man.knot_order(k) for k in man.knot_names} == first
-    assert counts == {"mul_vector": 0, "element_order": 0, "FgAbelianGroup": 0}
+    assert counts == {"mul_vector": 0, "solve": 0, "element_order": 0, "FgAbelianGroup": 0}
 
 
 def test_an_undeclared_knot_is_refused_on_every_call(lens5):
