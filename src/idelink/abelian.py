@@ -15,23 +15,25 @@ of relations @ t = x.
 Other groups read the order of x off ``preimage_lattice``: the integers n
 with n * x in the relation span.
 
-Every group's invariant factors come from one Hermite/Smith reduction
-modulo a maximal minor: ``rank_and_minor`` gives the rank r of the
-relations and a nonzero r x r minor D, a multiple of every nonzero
-invariant factor, so the first r entries of the Smith diagonal of the
-relations plus D * Z^g, reduced mod D, are those factors. The Hermite basis
-of that lattice (``hermite_basis``) is cached, and ``invariant_factors``
-reads its Smith diagonal. A finite group (r = g) has ``modulus`` D, which
-for a square presentation is its order.
+Every group's invariant factors come from Hermite passes modulo a
+maximal minor: ``rank_and_minor`` gives the rank r of the relations and a
+nonzero r x r minor D, a multiple of every nonzero invariant factor, so
+the first r entries of the Smith diagonal of the relations plus D * Z^g,
+reduced mod D, are those factors. The Hermite basis of that lattice
+(``hermite_basis``) is cached, and ``invariant_factors`` hands its columns
+to ``linalg.smith_diagonal_mod``, so the alternating Hermite passes start
+with the column pass. A finite group (r = g) has ``modulus`` D, which for
+a square presentation is its order.
 
-For a square presentation the rank and minor are the LU's, so one
-elimination gives the order and every element test. A group whose
+When the leading block's LU has full rank, or the presentation is square,
+the rank and minor are the LU's, so one elimination gives the order, every
+element test and the modulus of the invariant factors. A group whose
 relations lead with ones already eliminated inherits that work: a finite
 group's ``quotient`` its rank and minor, and a link complement
 (``local.ComplementHomology``, a subclass whose relations lead with Lambda)
-H1(M)'s ``block_lu``. All is computed on first use and cached, so a group
-built only to carry its relations (as most complements are) pays for
-nothing.
+H1(M)'s ``block_lu``, so a stage never eliminates Lambda a second time.
+All is computed on first use and cached, so a group built only to carry
+its relations (as most complements are) pays for nothing.
 """
 
 from __future__ import annotations
@@ -46,11 +48,11 @@ from .linalg import (
     IntMatrix,
     FractionFreeLU,
     hermite_basis_mod,
-    hermite_smith_diagonal,
     hstack,
     leading_block_lu,
     preimage_lattice,
     rank_and_minor,
+    smith_diagonal_mod,
 )
 
 __all__ = [
@@ -86,10 +88,13 @@ class FgAbelianGroup:
     def _rank_and_minor(self) -> tuple[int, int]:
         """Rank r of the relations and |a nonzero r x r minor| (1 when r = 0).
 
-        A square presentation reads them off ``block_lu``.
+        A square presentation, or a tall one whose leading block is
+        nonsingular (a link complement), reads them off ``block_lu``:
+        ``rank_and_minor`` would pivot on that block's rows, which come
+        first, and find the same pair. Only a wide or singular group runs it.
         """
-        if self.relations.cols == self.generator_count:
-            lu = self.block_lu
+        lu = self.block_lu
+        if lu is not None and (lu.rank == lu.size or lu.size == self.generator_count):
             rank, minor = lu.rank, lu.minor
         else:
             rank, minor = rank_and_minor(self.relations)
@@ -110,8 +115,8 @@ class FgAbelianGroup:
 
         D is the cached maximal minor, so for a finite group this is the
         relation lattice itself: an upper triangular basis whose pivots
-        multiply to the group order. ``invariant_factors`` reads its Smith
-        diagonal, so a caller that needs both pays for one Hermite reduction.
+        multiply to the group order. ``invariant_factors`` starts its Smith
+        diagonal from it, so a caller that needs both reduces the relations once.
         """
         _, d = self._rank_and_minor
         rel = self.relations
@@ -120,7 +125,9 @@ class FgAbelianGroup:
     @cached_property
     def invariant_factors(self) -> tuple[int, ...]:
         rank, d = self._rank_and_minor
-        nonzero = hermite_smith_diagonal(self.hermite_basis, d)[:rank]
+        # B's columns have B's Smith form and span a lattice holding d * Z^g too;
+        # a first pass on B's rows would return B unchanged
+        nonzero = smith_diagonal_mod(list(zip(*self.hermite_basis)), self.generator_count, d)[:rank]
         return tuple(x for x in nonzero if x != 1) + (0,) * (self.generator_count - rank)
 
     def order(self) -> int | None:
@@ -191,6 +198,7 @@ class GroupElement:
         return GroupElement(self.group, tuple(-a for a in self.coords))
 
     def __rmul__(self, k: int) -> "GroupElement":
+        k = json_int(k, "group element scalar")
         return GroupElement(self.group, tuple(k * a for a in self.coords))
 
     def is_zero(self) -> bool:

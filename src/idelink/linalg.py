@@ -32,14 +32,14 @@ same lattice, and ``solve_integer`` is that solution modulo zero.
 Invariant factors never take the Smith form either. Any nonzero maximal
 minor D of a rank-r matrix (``rank_and_minor``) is a multiple of its
 nonzero invariant factors d_1 ... d_r, so the lattice of its columns plus
-D * Z^n has Smith diagonal (d_1, ..., d_r, D, ..., D). ``smith_diagonal_mod``
-computes that diagonal from a Hermite basis modulo D and a transform-free
-Smith reduction of that triangular basis, every entry kept below D
-(Domich-Kannan-Trotter; Hafner-McCurley). ``hermite_basis_mod`` and
-``hermite_smith_diagonal`` are its two halves, for a caller that keeps the
-basis, and ``hermite_coordinates`` writes a lattice vector in that basis by
-back-substitution. ``smith_normal_form`` remains for callers that read its
-transforms.
+D * Z^n has Smith diagonal (d_1, ..., d_r, D, ..., D). One modular engine,
+``hermite_basis_mod``, reaches it, every entry kept below D
+(Domich-Kannan-Trotter; Hafner-McCurley): ``smith_diagonal_mod`` alternates
+its passes on rows and columns until the basis is diagonal
+(Kannan-Bachem). A caller that keeps the Hermite basis passes its columns,
+so the first pass is already a column pass; ``hermite_coordinates`` writes
+a lattice vector in that basis by back-substitution. ``smith_normal_form``
+remains for callers that read its transforms.
 """
 
 from __future__ import annotations
@@ -534,64 +534,33 @@ def hermite_basis_mod(rows: list, width: int, d: int) -> list[list[int]]:
 def smith_diagonal_mod(rows: list, width: int, d: int) -> list[int]:
     """Smith diagonal of the lattice span(rows) + d * Z^width, computed mod d.
 
-    The lattice holds d * Z^width, so its Smith form can be taken on the
-    Hermite basis from ``hermite_basis_mod`` with every entry reduced mod d
-    (Hafner-McCurley; Cohen, Alg. 2.4.14): a row move recombines generators
-    and a column move changes the basis of Z^width, and dropping a multiple
-    of d leaves the lattice unchanged. A pivot p left alone in its row and
-    column stands for the factor gcd(p, d). No transform is kept, so no entry
-    ever reaches d. Returns ``width`` positive entries in divisibility order,
-    each dividing d, whose product is the index of the lattice in Z^width.
+    ``hermite_basis_mod`` is the one elimination. A pass on the rows gives
+    the lattice's Hermite basis B; while B is not diagonal, the next pass
+    takes the Hermite basis of B's columns (Kannan-Bachem 1979). B^T has the
+    Smith form of B, and its rows span a lattice holding d * Z^width too
+    (d * B^-1 is integral, and d * I = (d * B^-1)^T B^T), so every pass stays
+    mod d (Cohen, Alg. 2.4.8). Each diagonal pivot then stands for
+    gcd(pivot, d), and gcd/lcm swaps order the factors.
+
+    The loop ends. Past the first pass, take the first position k whose row
+    or column is not yet clear; the clear ones before it split off and no
+    pass touches them. The next pass's pivot at k is the gcd of row k of B
+    with d, so it divides the old pivot; when it is no proper divisor, row k
+    was all multiples of the pivot and the pass clears position k. A pivot
+    divides d, so it shrinks properly fewer than d.bit_length() times, and
+    ``width * d.bit_length()`` passes after the first clear every position.
+    Past that cap the loop raises ArithmeticError. Returns ``width``
+    positive entries in divisibility order, each dividing d, whose product
+    is the index of the lattice in Z^width.
     """
-    return hermite_smith_diagonal(hermite_basis_mod(rows, width, d), d)
-
-
-def hermite_smith_diagonal(basis: list, d: int) -> list[int]:
-    """``smith_diagonal_mod`` of a lattice given by its basis from ``hermite_basis_mod`` with the same d.
-
-    A caller that keeps that basis (``FgAbelianGroup.hermite_basis``) reads
-    its Smith diagonal here without a second Hermite pass.
-    """
-    width = len(basis)
-    m = [[x % d for x in row] for row in basis]
-    diagonal = []
-    for t in range(width):
-        while True:
-            # clear column t below the pivot with unimodular row moves
-            for i in range(t + 1, width):
-                b = m[i][t]
-                if not b:
-                    continue
-                a, rt, ri = m[t][t], m[t], m[i]
-                if a and b % a == 0:
-                    k = b // a
-                    m[i] = [(y - k * x) % d for x, y in zip(rt, ri)]
-                else:
-                    g, u, v = _xgcd(a, b)
-                    p, q = a // g, b // g
-                    m[t] = [(u * x + v * y) % d for x, y in zip(rt, ri)]
-                    m[i] = [(p * y - q * x) % d for x, y in zip(rt, ri)]
-            # clear row t right of the pivot with unimodular column moves
-            for j in range(t + 1, width):
-                b = m[t][j]
-                if not b:
-                    continue
-                a = m[t][t]
-                if a and b % a == 0:
-                    k = b // a
-                    for row in m[t:]:
-                        row[j] = (row[j] - k * row[t]) % d
-                else:
-                    g, u, v = _xgcd(a, b)
-                    p, q = a // g, b // g
-                    for row in m[t:]:
-                        x, y = row[t], row[j]
-                        row[t] = (u * x + v * y) % d
-                        row[j] = (p * y - q * x) % d
-            # a column move that shrank the pivot may have refilled column t
-            if all(m[i][t] == 0 for i in range(t + 1, width)):
-                break
-        diagonal.append(gcd(m[t][t], d))
+    basis = hermite_basis_mod(rows, width, d)
+    passes = 0
+    while any(any(row[i + 1 :]) for i, row in enumerate(basis)):
+        if passes == width * d.bit_length():
+            raise ArithmeticError(f"Smith diagonal mod {d} not reached after {passes + 1} Hermite passes")
+        basis = hermite_basis_mod(list(zip(*basis)), width, d)
+        passes += 1
+    diagonal = [gcd(row[i], d) for i, row in enumerate(basis)]
     # Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b) turns the diagonal into a divisibility chain
     for i in range(width):
         for j in range(i + 1, width):
@@ -736,8 +705,9 @@ def rank_and_minor(a: IntMatrix) -> tuple[int, int]:
     are taken left to right and a column with no pivot left is skipped, so
     the minor sits on the first r independent columns; it is 1 when r = 0.
     Up to sign it is a minor of ``a``, and for a square nonsingular ``a``
-    the determinant. A square group reads the same pair off its
-    ``FractionFreeLU``, which keeps the elimination for later solves.
+    the determinant. A group whose leading block has a ``FractionFreeLU``
+    of full rank, or that is square, reads the same pair off that LU, which
+    keeps the elimination for later solves.
     """
     pivots, den, sign = _gauss_jordan(a.to_rows(), range(a.cols), False)
     return len(pivots), sign * den

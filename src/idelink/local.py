@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .abelian import FgAbelianGroup, GroupElement
-from .errors import KnotOutsideLink, MismatchedKnot
+from .errors import KnotOutsideLink, MismatchedKnot, json_int
 from .linalg import FractionFreeLU, IntMatrix
 from .presentation import Manifold
 
@@ -67,11 +67,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PeripheralClass:
-    """x * meridian + y * longitude on the boundary torus of one knot."""
+    """x * meridian + y * longitude on the boundary torus of one knot.
+
+    A float, bool or string coefficient raises ``BadInput``.
+    """
 
     knot: str
     meridian: int
     longitude: int
+
+    def __post_init__(self) -> None:
+        if self.meridian.__class__ is not int:
+            json_int(self.meridian, "meridian coefficient")
+        if self.longitude.__class__ is not int:
+            json_int(self.longitude, "longitude coefficient")
 
     def __add__(self, other: "PeripheralClass") -> "PeripheralClass":
         if other.knot != self.knot:

@@ -315,6 +315,14 @@ def test_element_coordinates_must_be_integers():
         z5.quotient([[0.5]])
 
 
+def test_element_scalars_must_be_integers(lens5):
+    knot = lens5.knot_class("K")
+    assert (3 * knot).coords == (3,)
+    for bad in (2.5, 2.0, True, "3"):
+        with pytest.raises(BadInput):
+            bad * knot
+
+
 def test_relation_shape_is_checked():
     with pytest.raises(BadDimensions):
         FgAbelianGroup(2, IntMatrix.from_rows([[1]]))

@@ -7,8 +7,9 @@ kernel against the Smith-transform route it replaced, preimage_lattice
 against a second Hermite pass over its sliced kernel, the fraction-free LU
 against frozen cases and the Fraction solve, and
 smith_diagonal_mod against the full Smith form of the generators with
-d * I appended. The Hermite oracles are the plain eliminations in
-``oracles.py``.
+d * I appended, and integer_kernel and preimage_lattice against sympy's
+Hermite normal form when sympy is installed. The Hermite oracles are the
+plain eliminations in ``oracles.py``.
 """
 
 import itertools
@@ -288,6 +289,55 @@ def test_smith_diagonal_mod_matches_smith_of_augmented_generators():
         assert smith_diagonal_mod(gens, width, modulus) == list(full), (gens, modulus)
 
 
+def test_smith_diagonal_mod_alternates_hermite_passes_until_diagonal(monkeypatch):
+    passes = []
+    real = linalg.hermite_basis_mod
+
+    def counting(rows, width, d):
+        passes.append(rows)
+        return real(rows, width, d)
+
+    monkeypatch.setattr(linalg, "hermite_basis_mod", counting)
+    assert smith_diagonal_mod([[2, 1], [0, 2]], 2, 4) == [1, 4]
+    assert len(passes) == 3
+    passes.clear()
+    assert smith_diagonal_mod([[8, 7], [4, 8]], 2, 12) == [1, 12]
+    assert len(passes) == 4
+    passes.clear()
+    # a diagonal Hermite basis takes the one row pass
+    assert smith_diagonal_mod([[2, 0], [0, 3]], 2, 6) == [1, 6]
+    assert len(passes) == 1
+
+
+def test_smith_diagonal_mod_matches_smith_form_at_prime_power_moduli():
+    """Moduli with repeated prime factors, where a pivot can shrink in divisibility pass after pass."""
+    rng = random.Random(3305)
+    moduli = (2**6, 3**5, 2**4 * 3**3, 2**3 * 5**2 * 7, 2**12 * 3**2)
+    for _ in range(500):
+        width = rng.randint(1, 7)
+        modulus = rng.choice(moduli)
+        scale = rng.choice((1, 2, 4, 6, 12))
+        gens = [[scale * rng.randint(-30, 30) for _ in range(width)] for _ in range(rng.randint(0, 7))]
+        scaled = [[modulus if i == j else 0 for j in range(width)] for i in range(width)]
+        full = smith_normal_form(IntMatrix.from_columns(gens + scaled, rows=width)).diagonal
+        assert smith_diagonal_mod(gens, width, modulus) == list(full), (gens, modulus)
+
+
+def test_smith_diagonal_mod_raises_past_its_pass_cap(monkeypatch):
+    """A Hermite pass that never diagonalizes ends in ArithmeticError after the capped passes, never a hang."""
+    passes = []
+
+    def stuck(rows, width, d):
+        passes.append(rows)
+        return [[1, 1], [0, 1]]
+
+    monkeypatch.setattr(linalg, "hermite_basis_mod", stuck)
+    with pytest.raises(ArithmeticError):
+        smith_diagonal_mod([[1, 1]], 2, 12)
+    # the first pass, then width * d.bit_length() more
+    assert len(passes) == 1 + 2 * 4
+
+
 def test_hermite_row_basis_matches_the_elimination_oracle():
     rng = random.Random(3304)
     for _ in range(400):
@@ -365,6 +415,59 @@ def test_preimage_lattice_frozen_examples():
     # no conditions, and no coordinates
     assert preimage_lattice(IntMatrix(0, 2, ()), IntMatrix(0, 1, ())) == [[1, 0], [0, 1]]
     assert preimage_lattice(IntMatrix(2, 0, ()), IntMatrix.identity(2)) == []
+
+
+def sympy_preimage_lattice(a: IntMatrix, b: IntMatrix, modulus=None) -> list[list[int]]:
+    """Oracle: ``preimage_lattice`` from sympy's column Hermite normal form.
+
+    The columns of [[I, 0], [a, b]] span {(x, a @ x + b @ y)}, whose vectors
+    with a zero bottom block are (x, 0) for x in the preimage lattice; in the
+    Hermite form those are spanned by the columns that pivot in the top block.
+    Sympy pivots at a column's last nonzero entry (Cohen, GTM 138, Def. 2.4.2)
+    and this package at a row's first, so x's coordinates are reversed on
+    the way in and out. ``modulus``, a multiple of the determinant of a
+    square nonsingular [[I, 0], [a, b]], selects sympy's mod-D algorithm.
+    """
+    import sympy
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    p = a.cols
+    top = [[int(i == j) for j in range(p)] + [0] * b.cols for i in range(p)]
+    bottom = [list(a.row(i)[::-1]) + list(b.row(i)) for i in range(a.rows)]
+    w = hermite_normal_form(sympy.Matrix(top + bottom), D=modulus)
+    columns = [[int(x) for x in w.col(j)] for j in range(w.cols)]
+    return [c[:p][::-1] for c in reversed(columns) if any(c[:p]) and not any(c[p:])]
+
+
+def test_kernel_hermite_bases_match_sympy():
+    pytest.importorskip("sympy")
+    rng = random.Random(3306)
+    for t in range(300):
+        a, b = random_preimage_input(rng, 2 + t % 3)  # at least one row and one column of a
+        assert preimage_lattice(a, b) == sympy_preimage_lattice(a, b), (str(a), str(b))
+        if not b.cols:
+            ker = integer_kernel(a)
+            assert [list(ker.column(j)) for j in range(ker.cols)] == sympy_preimage_lattice(a, b), str(a)
+    # a 12 x 24 kernel: sympy's elimination without a modulus takes seconds to minutes from here up
+    a = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(24)] for _ in range(12)])
+    ker = integer_kernel(a)
+    assert ker.cols == 12
+    assert [list(ker.column(j)) for j in range(ker.cols)] == sympy_preimage_lattice(a, IntMatrix(12, 0, ()))
+    # the principal lattice's Y = preimage_lattice(L^T, Lambda) at s = l = 48, by sympy's mod-det algorithm
+    n = 48
+    while True:
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-5, 5)
+        lam = IntMatrix.from_rows(rows)
+        det = determinant(lam)
+        if det:
+            break
+    ell_t = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+    y = preimage_lattice(ell_t, lam)
+    assert len(y) == n
+    assert y == sympy_preimage_lattice(ell_t, lam, abs(det))
 
 
 TWO_KNOTS = {

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idelink.abelian import element_order
-from idelink.errors import DivisorNotPrincipal, KnotOutsideLink, MismatchedKnot, SupportOutsideLink, UnknownKnot
+from idelink import linalg
+from idelink.errors import BadInput, DivisorNotPrincipal, KnotOutsideLink, MismatchedKnot, SupportOutsideLink, UnknownKnot
 from idelink.ideles import Divisor, Idele, delta_from_divisor, delta_solution, idele_coords
-from idelink.linalg import preimage_lattice
+from idelink.linalg import preimage_lattice, rank_and_minor, smith_normal_form
 from idelink.local import (
     PeripheralClass,
     complement_homology,
@@ -28,6 +29,8 @@ def test_peripheral_arithmetic():
     assert a + b == PeripheralClass("K", 3, 3)
     assert a - b == PeripheralClass("K", 1, -5)
     assert 3 * a == PeripheralClass("K", 6, -3)
+    with pytest.raises(BadInput):
+        2.5 * a
     assert (-a).meridian == -2
     assert PeripheralClass("K", 0, 0).is_zero()
     with pytest.raises(MismatchedKnot):
@@ -41,6 +44,15 @@ def test_valuation_and_intersection_values():
     assert local_intersection(PeripheralClass("K", 0, 1), PeripheralClass("K", 1, 0)) == -1
     with pytest.raises(MismatchedKnot):
         local_intersection(PeripheralClass("K", 1, 0), PeripheralClass("J", 0, 1))
+
+
+def test_peripheral_coefficients_must_be_integers():
+    for bad in (0.5, 1.0, True, "1"):
+        # a float pair would pair to -1.0, and a stage would read True as meridian 1
+        with pytest.raises(BadInput):
+            PeripheralClass("K", bad, 1)
+        with pytest.raises(BadInput):
+            PeripheralClass("K", 1, bad)
 
 
 @settings(max_examples=100, deadline=None)
@@ -225,6 +237,32 @@ def test_complement_group_shares_the_inverse_of_lambda():
             comp = complement_homology(man, link)
             assert comp.block_lu is man.h1.block_lu
     assert seen_empty_surgery
+
+
+def test_stage_invariant_factors_run_no_elimination_beyond_the_load(monkeypatch):
+    """A stage reads its rank and minor off H1(M)'s LU of Lambda instead of eliminating its relations."""
+    calls = []
+    real = linalg._gauss_jordan
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counting)
+    rng = random.Random(4412)
+    for _ in range(60):
+        man = random_manifold(rng, 5, 4, 5)
+        knots = list(man.knot_names)
+        loaded = len(calls)
+        comp = complement_homology(man, rng.sample(knots, rng.randint(1, len(knots))))
+        factors = comp.invariant_factors
+        assert len(calls) == loaded
+        # the elimination it skips pivots on Lambda's rows and finds the LU's pair
+        lu = man.h1.block_lu
+        assert rank_and_minor(comp.relations) == (lu.rank, lu.minor)
+        assert len(calls) == loaded + 1
+        diagonal = [x for x in smith_normal_form(comp.relations).diagonal if x]
+        assert factors == tuple(x for x in diagonal if x != 1) + (0,) * len(comp.link)
 
 
 def test_stage_table_matches_the_module_formulas_entry_by_entry():
