@@ -16,17 +16,23 @@ Other groups read the order of x off ``preimage_lattice``: the integers n
 with n * x in the relation span.
 
 Every group's invariant factors come from Hermite passes modulo a
-maximal minor: ``rank_and_minor`` gives the rank r of the relations and a
-nonzero r x r minor D, a multiple of every nonzero invariant factor, so
-the first r entries of the Smith diagonal of the relations plus D * Z^g,
-reduced mod D, are those factors. The Hermite basis of that lattice
-(``hermite_basis``) is cached, and ``invariant_factors`` hands its columns
-to ``linalg.smith_diagonal_mod``, so the alternating Hermite passes start
-with the column pass. A finite group (r = g) has ``modulus`` D, which for
-a square presentation is its order.
+maximal minor: the ``FractionFreeLU`` record of the relations gives their
+rank r and a nonzero r x r minor D, a multiple of every nonzero invariant
+factor, so the first r entries of the Smith diagonal of the relations
+plus D * Z^g, reduced mod D, are those factors. The Hermite basis of that
+lattice (``hermite_basis``) is cached, and ``invariant_factors`` hands its
+columns to ``linalg.smith_diagonal_mod``, so the alternating Hermite
+passes start with the column pass.
+
+Order and triviality take no Smith pass. A finite group (r = g) has
+``modulus`` D, which for a square presentation is its order; any other
+finite group's order is the product of the ``hermite_basis`` pivots, and
+a group is trivial exactly when its order is 1. So admissibility (H1(M)
+modulo the knot classes is trivial), a cover's surjectivity and a knot's
+splitting numbers read the Hermite basis, never the invariant factors.
 
 When the leading block's LU has full rank, or the presentation is square,
-the rank and minor are the LU's, so one elimination gives the order, every
+the rank and minor are that LU's, so one elimination gives the order, every
 element test and the modulus of the invariant factors. A group whose
 relations lead with ones already eliminated inherits that work: a finite
 group's ``quotient`` its rank and minor, and a link complement
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .errors import BadDimensions, json_int
@@ -51,7 +57,6 @@ from .linalg import (
     hstack,
     leading_block_lu,
     preimage_lattice,
-    rank_and_minor,
     smith_diagonal_mod,
 )
 
@@ -72,6 +77,8 @@ class FgAbelianGroup:
     """
 
     def __init__(self, generator_count: int, relations: IntMatrix):
+        if generator_count.__class__ is not int:
+            json_int(generator_count, "generator count")
         if relations.rows != generator_count:
             raise BadDimensions(
                 f"relation matrix has {relations.rows} rows for {generator_count} generators"
@@ -89,16 +96,15 @@ class FgAbelianGroup:
         """Rank r of the relations and |a nonzero r x r minor| (1 when r = 0).
 
         A square presentation, or a tall one whose leading block is
-        nonsingular (a link complement), reads them off ``block_lu``:
-        ``rank_and_minor`` would pivot on that block's rows, which come
-        first, and find the same pair. Only a wide or singular group runs it.
+        nonsingular (a link complement), reads them off ``block_lu``: the LU
+        of all the relations would pivot on that block's rows, which come
+        first, and find the same pair. Only a wide group, or a tall one with
+        a singular leading block, eliminates all its relations.
         """
         lu = self.block_lu
-        if lu is not None and (lu.rank == lu.size or lu.size == self.generator_count):
-            rank, minor = lu.rank, lu.minor
-        else:
-            rank, minor = rank_and_minor(self.relations)
-        return rank, abs(minor)
+        if lu is None or lu.rank < lu.size < self.generator_count:
+            lu = FractionFreeLU(self.relations)
+        return lu.rank, abs(lu.minor)
 
     @cached_property
     def modulus(self) -> int | None:
@@ -131,18 +137,18 @@ class FgAbelianGroup:
         return tuple(x for x in nonzero if x != 1) + (0,) * (self.generator_count - rank)
 
     def order(self) -> int | None:
-        """Group order, or None when the group is infinite."""
-        if self.relations.cols == self.generator_count and self.modulus is not None:
-            return self.modulus  # |det| of a square nonsingular presentation
-        n = 1
-        for d in self.invariant_factors:
-            if d == 0:
-                return None
-            n *= d
-        return n
+        """Group order, or None when the group is infinite.
+
+        A square presentation's order is its ``modulus``, |det|; any other
+        finite group's is the product of the ``hermite_basis`` pivots.
+        """
+        d = self.modulus
+        if d is None or self.relations.cols == self.generator_count:
+            return d
+        return prod(row[i] for i, row in enumerate(self.hermite_basis))
 
     def is_trivial(self) -> bool:
-        return self.invariant_factors == ()
+        return self.order() == 1
 
     def element(self, coords) -> "GroupElement":
         coords = tuple(json_int(x, "group element coordinate") for x in coords)
@@ -165,10 +171,6 @@ class FgAbelianGroup:
             # this group's relations lead, so its full-rank minor is one of the quotient's
             group._rank_and_minor = (self.generator_count, self.modulus)
         return group
-
-    def is_zero_vector(self, coords) -> bool:
-        """Whether the coordinate vector lies in the column span of the relations."""
-        return element_order(self.element(coords)) == 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FgAbelianGroup):
@@ -202,14 +204,14 @@ class GroupElement:
         return GroupElement(self.group, tuple(k * a for a in self.coords))
 
     def is_zero(self) -> bool:
-        return self.group.is_zero_vector(self.coords)
+        return element_order(self) == 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
             return NotImplemented
         if self.group is not other.group and self.group != other.group:
             return NotImplemented
-        return self.group.is_zero_vector(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return element_order(self - other) == 1
 
     __hash__ = None  # coset equality is not hash-compatible with coordinates
 

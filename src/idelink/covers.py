@@ -17,9 +17,9 @@ boundary torus, g the index of that image in the target.
 A cover computes its per-knot data once: ``CoverSpec.knot_images`` keeps
 the two images of each knot on first use, and ``decomposition_data`` keeps
 each knot's (e, f, g). Both caches hold at most one entry per knot of the
-sublink; a knot outside it raises on every call. ``local_symbol`` still
-maps the peripheral class's full coordinates through ``CoverSpec.apply``, so
-the product formula compares two routes.
+sublink; a knot outside it raises on every call. ``local_symbol`` maps the
+peripheral class's full coordinates through ``CoverSpec.apply``, not the
+cached images, so the product formula compares two routes.
 
 A Kummer cover of modulus n attached to a principal divisor is the unique
 (at admissible stages) homomorphism to Z/n whose symbol computes the global

@@ -24,7 +24,7 @@ from math import gcd, prod
 
 from .abelian import element_order
 from .covers import decomposition_data, global_symbol, kummer_cover, local_symbol, make_cover
-from .errors import BadInput, DivisorNotPrincipal, IdelinkError, TooLarge
+from .errors import BadInput, DivisorNotPrincipal, IdelinkError, TooLarge, json_int
 from .ideles import (
     Divisor,
     Idele,
@@ -78,6 +78,10 @@ class FuzzConfig:
     corrupt: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("trials", "seed", "max_surgery", "max_link", "entry_bound", "coeff_bound"):
+            value = getattr(self, name)
+            if value.__class__ is not int:
+                json_int(value, name)
         if self.trials < 0:
             raise BadInput("trials must be nonnegative")
         for name in ("max_surgery", "max_link", "entry_bound", "coeff_bound"):

@@ -17,9 +17,10 @@ Hermite basis W of G~ = span(ell_K) + Lambda Z^s that the cokernel H1(M)/G
 also reads; the stage keeps that cokernel, so W is eliminated once per
 stage. Every torsion step runs modulo c = |H1(M)/G|, the product of W's
 pivots. On an admissible stage G is all of H1(M), so c = 1 and the torsion
-is trivial with no elimination. ``principal_lattice_basis`` still takes the
-kernel of the peripheral table, but starts its elimination after Lambda's
-block, from the manifold's LU and per-knot solves.
+is trivial with no elimination. ``principal_lattice_basis`` takes the
+kernel of the peripheral table and starts its elimination after Lambda's
+block, from the manifold's LU and per-knot solves, so Lambda is never
+eliminated twice.
 
 The global pairing of two ideles is the sum over knots of the local
 intersection numbers; reciprocity (vanishing on principal pairs) is
@@ -239,9 +240,11 @@ def _idele_from_pairs(link, vec) -> Idele:
 def principal_lattice_basis(comp: ComplementHomology) -> list[Idele]:
     """Basis of the lattice of principal ideles supported on the sublink.
 
-    It is ``preimage_lattice(comp.peripheral_matrix(), comp.relations)``:
-    the kernel of [peripheral | relations], cut to the peripheral columns
-    x_b (knot b's meridian) and y_b (its longitude). Its elimination starts
+    It is ``preimage_lattice(P, comp.relations)`` for the peripheral table
+    P, whose columns are each knot b's ``meridian_coords`` and
+    ``longitude_coords``: the kernel of [P | relations], cut to the
+    peripheral columns x_b (knot b's meridian) and y_b (its longitude),
+    which ``tests/oracles.py`` computes whole. Its elimination starts
     after Lambda's block, the first s relation columns u_i, pivoted on
     Lambda's rows. With d = det Lambda, sigma its sign and t_b the cached
     solve of knot b (Lambda t_b = |d| ell_b), that state is, over den = d,

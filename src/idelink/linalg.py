@@ -8,14 +8,15 @@ pivot, and solution sets are canonicalized against Hermite bases.
 
 One fraction-free (Bareiss) Gauss-Jordan elimination, ``_gauss_jordan``,
 owns the pivot rule, the growth bound (every entry is a minor of its input)
-and the exactness check. Its readers differ in the column order they pass,
-in whether the rows above each pivot are cleared, and in what they read:
-``rank_and_minor`` (and ``determinant``) reads the rank and a signed
-maximal minor, columns left to right, and reads no row, so it leaves the
-rows above alone; ``FractionFreeLU`` runs that same forward elimination and
-keeps its record, a fraction-free LU (Nakos-Turner-Williams), so one
-elimination of a surgery matrix gives its determinant and then solves
-every right-hand side; ``kernel_basis`` (``integer_kernel``) reads the
+and the exactness check. Its two readers differ in the column order they
+pass, in whether the rows above each pivot are cleared, and in what they
+read: ``FractionFreeLU`` runs the forward elimination, columns left to
+right, leaving the rows above each pivot alone, and keeps its record, a
+fraction-free LU (Nakos-Turner-Williams) of a matrix of any shape. The
+record gives the rank and a signed maximal minor (``determinant`` reads
+them), and for a square nonsingular matrix it solves every right-hand
+side, so one elimination of a surgery matrix gives its determinant and
+every solve; ``kernel_basis`` (``integer_kernel``) reads the
 rational kernel, columns right to left, so the free columns are the
 Hermite pivot columns of the kernel, and Hermite-reduces its integral
 lattice modulo the nullspace denominator (Domich-Kannan-Trotter); a caller
@@ -30,7 +31,7 @@ through ``preimage_lattice``, which slices the canonical kernel basis of
 same lattice, and ``solve_integer`` is that solution modulo zero.
 
 Invariant factors never take the Smith form either. Any nonzero maximal
-minor D of a rank-r matrix (``rank_and_minor``) is a multiple of its
+minor D of a rank-r matrix (``FractionFreeLU.minor``) is a multiple of its
 nonzero invariant factors d_1 ... d_r, so the lattice of its columns plus
 D * Z^n has Smith diagonal (d_1, ..., d_r, D, ..., D). One modular engine,
 ``hermite_basis_mod``, reaches it, every entry kept below D
@@ -381,21 +382,21 @@ def _gauss_jordan(work: list[list[int]], order, reduced: bool, pivots=(), den: i
 
 
 class FractionFreeLU:
-    """Fraction-free LU factorization of a square integer matrix A.
+    """Fraction-free LU factorization of an integer matrix A of any shape.
 
     The record of ``_gauss_jordan``'s forward elimination of A, columns left
     to right (Bareiss 1968; Nakos-Turner-Williams 1997): per pivot, the row
     swapped into place, the pivot, the multipliers cleared below it and the
-    pivot row. ``rank`` and ``minor`` are ``rank_and_minor(A)``'s, so for a
-    nonsingular A ``minor`` is det A, and ``solve`` then answers every
-    right-hand side from the one elimination.
+    pivot row. A column with no pivot left is skipped, so ``rank`` is the
+    rank r of A and ``minor`` the signed r x r minor on its first r
+    independent columns (1 when r = 0); for a square nonsingular A it is
+    det A, and ``solve`` then answers every right-hand side from the one
+    elimination.
     """
 
     __slots__ = ("matrix", "rank", "minor", "_steps")
 
     def __init__(self, a: IntMatrix):
-        if a.rows != a.cols:
-            raise ValueError("LU factorization of a non-square matrix")
         steps: list = []
         pivots, den, sign = _gauss_jordan(a.to_rows(), range(a.cols), False, steps=steps)
         self.matrix = a
@@ -414,11 +415,11 @@ class FractionFreeLU:
         triangular system of the pivot rows is back-substituted. A's solution
         is unique, so one final check of A @ t = |det A| * c proves every
         division exact; ArithmeticError when it fails, as on a corrupted
-        factor, or when A is singular.
+        factor, or when A is not square or singular.
         """
         a, steps = self.matrix, self._steps
-        if self.rank < a.rows:
-            raise ArithmeticError("solve against a singular matrix")
+        if self.rank < a.rows or a.rows != a.cols:
+            raise ArithmeticError("solve against a non-square or singular matrix")
         if len(c) != a.rows:
             raise ValueError("right-hand side length disagrees with the factor's size")
         x = list(c)
@@ -698,27 +699,12 @@ def solve_mod_subgroup(a: IntMatrix, b: IntMatrix, c) -> list[int] | None:
     return None if solved is None else solved[0]
 
 
-def rank_and_minor(a: IntMatrix) -> tuple[int, int]:
-    """Rank r of ``a`` and a nonzero r x r minor, by ``_gauss_jordan`` without reduction.
-
-    Only the pivots are read, so no pivot clears the rows above it. Columns
-    are taken left to right and a column with no pivot left is skipped, so
-    the minor sits on the first r independent columns; it is 1 when r = 0.
-    Up to sign it is a minor of ``a``, and for a square nonsingular ``a``
-    the determinant. A group whose leading block has a ``FractionFreeLU``
-    of full rank, or that is square, reads the same pair off that LU, which
-    keeps the elimination for later solves.
-    """
-    pivots, den, sign = _gauss_jordan(a.to_rows(), range(a.cols), False)
-    return len(pivots), sign * den
-
-
 def determinant(a: IntMatrix) -> int:
-    """Exact determinant: the full-rank minor of ``rank_and_minor``, else 0."""
+    """Exact determinant: the full-rank minor of ``FractionFreeLU(a)``, else 0."""
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
-    rank, minor = rank_and_minor(a)
-    return minor if rank == a.rows else 0
+    lu = FractionFreeLU(a)
+    return lu.minor if lu.rank == a.rows else 0
 
 
 def solve_rational(a: IntMatrix, c) -> list[Fraction] | None:

@@ -5,10 +5,11 @@ and ``linalg.smith_diagonal_mod``; these plain integer eliminations are
 kept here as independent references for them: a Hermite row basis by
 repeated extended-gcd row moves, reduction of a vector against such a
 basis, and a rational solve by Fraction Gauss-Jordan. The idele class group
-is checked against the route it replaced: the subgroup of H1(M - L)
-generated by the peripheral table, a kernel of width 2l + s. The principal
-lattice is checked against the whole kernel of [peripheral | relations],
-which the library now resumes after Lambda's block.
+is checked against a second route: the subgroup of H1(M - L) generated by
+the peripheral table, a kernel of width 2l + s, where the library works in
+H1(M)'s s coordinates. The principal lattice is checked against the whole
+kernel of [peripheral | relations], where the library resumes the
+elimination after Lambda's block.
 """
 
 from fractions import Fraction

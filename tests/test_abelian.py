@@ -6,6 +6,9 @@ import pytest
 from idelink.abelian import FgAbelianGroup, element_order, subgroup_invariant_factors
 from idelink.errors import BadDimensions, BadInput
 from idelink.linalg import IntMatrix, determinant, smith_normal_form
+from idelink.local import complement_homology
+
+from conftest import random_manifold
 
 
 def group(gens, relation_columns):
@@ -58,7 +61,7 @@ def test_quotient_appends_generators_to_relations():
 
 
 def test_order_matches_invariant_factors():
-    # square presentations read their rank and |det| off the block LU
+    # square presentations read their rank and |det| off the block LU; is_trivial() is order() == 1
     rng = random.Random(5505)
     seen = {"square nonsingular": 0, "square singular": 0, "not square": 0}
     for t in range(900):
@@ -69,14 +72,42 @@ def test_order_matches_invariant_factors():
         if t % 3 == 1 and gens >= 2:
             m[-1] = m[0][:]
         g = FgAbelianGroup(gens, IntMatrix.from_rows(m) if gens else IntMatrix(0, cols, ()))
-        order = g.order()
+        order, is_trivial = g.order(), g.is_trivial()
         factors = g.invariant_factors
         assert order == (None if 0 in factors else math.prod(factors))
+        assert is_trivial == (factors == ())
         if cols != gens:
             seen["not square"] += 1
         else:
             seen["square nonsingular" if solves_on_the_leading_block(g) else "square singular"] += 1
     assert min(seen.values()) > 100, seen
+    # wide quotients of finite groups, stages, their cokernels and groups with no generators
+    # read |det| or the Hermite pivots, never the invariant factors
+    kinds = ("wide quotient", "stage", "cokernel", "no generators")
+    trivial = 0
+    for t in range(400):
+        kind = kinds[t % 4]
+        if kind == "wide quotient":
+            n = rng.randint(1, 5)
+            bound = rng.choice((1, 3, 20))
+            while True:
+                h = FgAbelianGroup(n, IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]))
+                if h.modulus is not None:
+                    break
+            g = h.quotient([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(rng.randint(1, 3))])
+        elif kind == "no generators":
+            g = group(0, [()] * rng.randint(0, 3))
+        else:
+            man = random_manifold(rng, 4, 4, rng.choice((2, 3, 5)))
+            names = list(man.knot_names)
+            link = man.sublink(rng.sample(names, rng.randint(1, len(names))))
+            g = complement_homology(man, link) if kind == "stage" else man.knot_quotient(link)
+        order, is_trivial = g.order(), g.is_trivial()
+        factors = g.invariant_factors
+        assert order == (None if 0 in factors else math.prod(factors)), (kind, g.relations)
+        assert is_trivial == (factors == ()), (kind, g.relations)
+        trivial += is_trivial
+    assert trivial >= 100, trivial
 
 
 def test_element_order():
@@ -326,6 +357,12 @@ def test_element_scalars_must_be_integers(lens5):
 def test_relation_shape_is_checked():
     with pytest.raises(BadDimensions):
         FgAbelianGroup(2, IntMatrix.from_rows([[1]]))
+
+
+@pytest.mark.parametrize("count", [1.0, True], ids=["float", "bool"])
+def test_generator_count_must_be_an_integer(count):
+    with pytest.raises(BadInput):
+        FgAbelianGroup(count, IntMatrix(1, 1, (5,)))
 
 
 def test_group_equality_is_presentation_equality():

@@ -134,7 +134,7 @@ def test_each_stage_command_eliminates_lambda_once_and_takes_no_smith_form(capsy
 
     An elimination of Lambda is a ``_gauss_jordan`` call that starts from no
     pivot and whose first s columns, on its first s rows, are Lambda's: the
-    LU, a ``rank_and_minor`` of Lambda, or a kernel whose relation columns
+    LU, a ``FractionFreeLU`` of a stage's relations, or a kernel whose relation columns
     come first, as the whole kernel of [peripheral | relations] does.
     """
     rng = random.Random(9909)

@@ -1,11 +1,13 @@
 """Finite abelian covers: symbols, the product formula, decomposition, Kummer theory."""
 
+import math
 import random
 from math import gcd
 
 import pytest
 
-from idelink.abelian import element_order
+from idelink import abelian
+from idelink.abelian import FgAbelianGroup, element_order
 from idelink.covers import (
     CoverSpec,
     decomposition_data,
@@ -34,7 +36,7 @@ from idelink.ideles import (
     idele_coords,
     principal_lattice_basis,
 )
-from idelink.linalg import smith_normal_form
+from idelink.linalg import IntMatrix, smith_normal_form
 from idelink.local import PeripheralClass, complement_homology
 from idelink.presentation import Manifold
 
@@ -409,3 +411,57 @@ def test_knots_outside_the_cover_are_refused_on_every_call(hopf):
                 global_symbol(Idele.of({"K1": (1, 0), knot: (0, 1)}), cover)
         assert global_symbol(Idele.of({"K1": (1, 1)}), cover) == (1, 2)
         assert decomposition_data(cover, "K1").ramification_index == 6
+
+
+class SmithPass(Exception):
+    pass
+
+
+def test_order_and_triviality_questions_take_no_smith_pass(monkeypatch):
+    """Admissibility, Kummer covers, surjectivity, (e, f, g) and a quotient's order read Hermite pivots.
+
+    ``abelian.smith_diagonal_mod`` raises under the spy, yet every question
+    answers; outside it, each answer matches the invariant factors.
+    """
+    rng = random.Random(2026)
+    answered = []
+    with monkeypatch.context() as spy:
+
+        def refuse(*args):
+            raise SmithPass
+
+        spy.setattr(abelian, "smith_diagonal_mod", refuse)
+        with pytest.raises(SmithPass):
+            FgAbelianGroup(1, IntMatrix.from_rows([[5]])).invariant_factors
+        for _ in range(160):
+            man = random_manifold(rng, 4, 4, rng.choice((2, 3, 5)))
+            names = list(man.knot_names)
+            link = man.sublink(rng.sample(names, rng.randint(1, len(names))))
+            comp = complement_homology(man, link)
+            admissible = comp.cokernel.is_trivial()
+            assert man.generates_h1(link) == admissible
+            divisor = Divisor.of({link[0]: man.knot_order(link[0])})
+            if admissible:
+                assert kummer_cover(comp, divisor, 3).cover.orders == (3,)
+            else:
+                with pytest.raises(NotAdmissible):
+                    kummer_cover(comp, divisor, 3)
+            cover = smith_cover(comp, rng, tuple(rng.randint(2, 6) for _ in range(rng.randint(1, 2))))
+            splitting = [decomposition_data(cover, k) for k in link]
+            quotient = cover.target.quotient([cover.meridian_image(k) for k in link])
+            answered.append((man, link, cover, admissible, cover.is_surjective(), splitting, quotient.order()))
+    seen = {"admissible": 0, "not admissible": 0, "surjective": 0, "not surjective": 0}
+    for man, link, cover, admissible, surjective, splitting, quotient_order in answered:
+        assert admissible == (man.knot_quotient(link).invariant_factors == ())
+        assert surjective == (cover.target.quotient(cover.values).invariant_factors == ())
+        target = cover.target
+        size = math.prod(target.invariant_factors)
+        assert quotient_order == math.prod(target.quotient([cover.meridian_image(k) for k in link]).invariant_factors)
+        for k, dd in zip(link, splitting):
+            mu, l0 = cover.knot_images(k)
+            e = size // math.prod(target.quotient([mu]).invariant_factors)
+            g = math.prod(target.quotient([mu, l0]).invariant_factors)
+            assert (dd.ramification_index, dd.residue_degree, dd.component_count) == (e, size // e // g, g)
+        seen["admissible" if admissible else "not admissible"] += 1
+        seen["surjective" if surjective else "not surjective"] += 1
+    assert min(seen.values()) >= 20, seen

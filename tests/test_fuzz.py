@@ -24,6 +24,16 @@ def test_config_validation():
         FuzzConfig(trials=1, seed=0, corrupt="bogus")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", 2.5), ("seed", 0.5), ("trials", True), ("coeff_bound", True)],
+    ids=["float-trials", "float-seed", "bool-trials", "bool-coeff-bound"],
+)
+def test_config_integers_must_be_integers(field, value):
+    with pytest.raises(BadInput, match=field):
+        FuzzConfig(**{"trials": 1, "seed": 0, field: value})
+
+
 def test_config_refuses_sizes_past_the_limit():
     FuzzConfig(trials=1, seed=0, max_surgery=64, max_link=64)
     for field in ("max_surgery", "max_link"):

@@ -2,7 +2,7 @@
 
 The Smith form is cross-checked against the determinantal-divisor oracle
 (gcd of all k x k minors), the Bareiss determinant against cofactor
-expansion, rank_and_minor against the Smith diagonal, solve_mod_subgroup against exhaustive search, the integer
+expansion, the fraction-free LU's rank and minor against the Smith diagonal, solve_mod_subgroup against exhaustive search, the integer
 kernel against the Smith-transform route it replaced, preimage_lattice
 against a second Hermite pass over its sliced kernel, the fraction-free LU
 against frozen cases and the Fraction solve, and
@@ -36,6 +36,7 @@ from idelink import linalg
 from idelink.abelian import FgAbelianGroup
 from idelink.errors import BadInput
 from idelink.linalg import (
+    FractionFreeLU,
     IntMatrix,
     determinant,
     hermite_basis_mod,
@@ -44,7 +45,6 @@ from idelink.linalg import (
     integer_kernel,
     leading_block_lu,
     preimage_lattice,
-    rank_and_minor,
     smith_diagonal_mod,
     smith_normal_form,
     solve_each_mod_subgroup,
@@ -150,9 +150,11 @@ def test_determinant_edge_cases():
         determinant(IntMatrix.zeros(2, 3))
 
 
-def test_rank_and_minor_bounds_the_smith_diagonal():
+def test_fraction_free_lu_rank_and_minor_bound_the_smith_diagonal():
+    """Square, tall and wide matrices: the LU record gives the rank and a maximal minor; a non-square one refuses to solve."""
     rng = random.Random(8808)
     seen = {"full rank": 0, "rank deficient": 0, "zero": 0}
+    shapes = {"square": 0, "tall": 0, "wide": 0}
     for t in range(900):
         rows, cols = rng.randint(0, 8), rng.randint(0, 8)
         bound = rng.choice((1, 5, 50)) if t % 9 else 0
@@ -164,7 +166,8 @@ def test_rank_and_minor_bounds_the_smith_diagonal():
             for row in m:
                 row[-1] = k * row[0]
         a = IntMatrix(rows, cols, tuple(x for row in m for x in row))
-        rank, minor = rank_and_minor(a)
+        lu = FractionFreeLU(a)
+        rank, minor = lu.rank, lu.minor
         nonzero = [d for d in smith_normal_form(a).diagonal if d]
         assert rank == len(nonzero), m
         assert minor != 0 and minor % math.prod(nonzero) == 0, m
@@ -172,8 +175,13 @@ def test_rank_and_minor_bounds_the_smith_diagonal():
             assert minor == 1
         if rows == cols:
             assert determinant(a) == (minor if rank == rows else 0)
+        else:
+            with pytest.raises(ArithmeticError):
+                lu.solve([0] * rows)
         seen["zero" if rank == 0 else "full rank" if rank == min(rows, cols) else "rank deficient"] += 1
+        shapes["square" if rows == cols else "tall" if rows > cols else "wide"] += 1
     assert min(seen.values()) > 100, seen
+    assert min(shapes.values()) > 50, shapes
 
 
 def test_square_smith_diagonal_product_is_abs_det():
@@ -542,9 +550,9 @@ def test_fraction_free_lu_frozen_examples():
         assert (lu.size, lu.rank, lu.minor, lu.solve([])) == (0, 0, 1, ())
     # fewer rows than columns: no leading square block
     assert leading_block_lu(IntMatrix.from_rows([[1, 2]])) is None
-    # a singular block keeps rank_and_minor's rank and minor, and refuses to solve
+    # a singular block keeps its rank and minor, and refuses to solve
     lu = leading_block_lu(IntMatrix.from_rows([[1, 2], [2, 4], [0, 1]]))
-    assert (lu.rank, lu.minor) == rank_and_minor(IntMatrix.from_rows([[1, 2], [2, 4]])) == (1, 1)
+    assert (lu.rank, lu.minor) == (1, 1)
     with pytest.raises(ArithmeticError):
         lu.solve([1, 0])
     with pytest.raises(ValueError):

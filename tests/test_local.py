@@ -10,7 +10,7 @@ from idelink.abelian import element_order
 from idelink import linalg
 from idelink.errors import BadInput, DivisorNotPrincipal, KnotOutsideLink, MismatchedKnot, SupportOutsideLink, UnknownKnot
 from idelink.ideles import Divisor, Idele, delta_from_divisor, delta_solution, idele_coords
-from idelink.linalg import preimage_lattice, rank_and_minor, smith_normal_form
+from idelink.linalg import FractionFreeLU, preimage_lattice, smith_normal_form
 from idelink.local import (
     PeripheralClass,
     complement_homology,
@@ -259,7 +259,8 @@ def test_stage_invariant_factors_run_no_elimination_beyond_the_load(monkeypatch)
         assert len(calls) == loaded
         # the elimination it skips pivots on Lambda's rows and finds the LU's pair
         lu = man.h1.block_lu
-        assert rank_and_minor(comp.relations) == (lu.rank, lu.minor)
+        whole = FractionFreeLU(comp.relations)
+        assert (whole.rank, whole.minor) == (lu.rank, lu.minor)
         assert len(calls) == loaded + 1
         diagonal = [x for x in smith_normal_form(comp.relations).diagonal if x]
         assert factors == tuple(x for x in diagonal if x != 1) + (0,) * len(comp.link)
