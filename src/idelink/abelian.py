@@ -151,13 +151,7 @@ class FgAbelianGroup:
         return self.order() == 1
 
     def element(self, coords) -> "GroupElement":
-        coords = tuple(json_int(x, "group element coordinate") for x in coords)
-        if len(coords) != self.generator_count:
-            raise BadDimensions(
-                f"coordinate vector of length {len(coords)} in a group with "
-                f"{self.generator_count} generators"
-            )
-        return GroupElement(self, coords)
+        return GroupElement(self, tuple(coords))
 
     def zero(self) -> "GroupElement":
         return self.element((0,) * self.generator_count)
@@ -183,10 +177,25 @@ class FgAbelianGroup:
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """An element of an FgAbelianGroup, held as a generator-coordinate vector."""
+    """An element of an FgAbelianGroup, held as a generator-coordinate vector.
+
+    A float, bool or string coordinate raises ``BadInput``, and a vector
+    whose length is not the group's generator count ``BadDimensions``,
+    however the element was built.
+    """
 
     group: FgAbelianGroup
     coords: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        for x in self.coords:
+            if x.__class__ is not int:
+                json_int(x, "group element coordinate")
+        if len(self.coords) != self.group.generator_count:
+            raise BadDimensions(
+                f"coordinate vector of length {len(self.coords)} in a group with "
+                f"{self.group.generator_count} generators"
+            )
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         self._check(other)

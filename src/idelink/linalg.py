@@ -3,8 +3,8 @@
 Everything runs on arbitrary-precision Python integers (Fraction for the few
 rational solves); no floating point appears anywhere in this package.
 Matrices are immutable value objects and every function is pure and
-deterministic: the Smith form always reduces by the minimal-absolute-value
-pivot, and solution sets are canonicalized against Hermite bases.
+deterministic: the Smith form always pivots on the least entry, and solution
+sets are canonicalized against Hermite bases.
 
 One fraction-free (Bareiss) Gauss-Jordan elimination, ``_gauss_jordan``,
 owns the pivot rule, the growth bound (every entry is a minor of its input)
@@ -40,7 +40,11 @@ its passes on rows and columns until the basis is diagonal
 (Kannan-Bachem). A caller that keeps the Hermite basis passes its columns,
 so the first pass is already a column pass; ``hermite_coordinates`` writes
 a lattice vector in that basis by back-substitution. ``smith_normal_form``
-remains for callers that read its transforms.
+remains for callers that read its transforms. It pivots on the least entry
+and divides with the nearest remainder, restarting a corner until its pivot
+divides the rest, so the diagonal needs no repair and the transforms grow
+slowly: their entries reach 2089 bits at s = 48 and 11827 at s = 96 on
+the benchmark generator's surgery matrices.
 """
 
 from __future__ import annotations
@@ -188,135 +192,76 @@ class SmithForm:
         return tuple(self.d[i, i] for i in range(k))
 
 
-def _min_abs_position(m: list[list[int]], start: int) -> tuple[int, int] | None:
-    best = None
-    for i in range(start, len(m)):
-        row = m[i]
-        for j in range(start, len(row)):
-            x = row[j]
-            if x:
-                key = (abs(x), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
 def smith_normal_form(a: IntMatrix) -> SmithForm:
-    """Diagonalize over the integers, tracking both unimodular transforms.
+    """Diagonalize over the integers by least-remainder pivoting, tracking both transforms.
 
-    Pivots are always chosen with minimal absolute value (ties broken by
-    position) so the output is deterministic. After diagonalization the
-    diagonal is made nonnegative and repaired into a divisibility chain.
+    Corner t takes as pivot p the trailing block's entry of least absolute
+    value (the first in row-major order on ties), moved to (t, t). Row moves
+    clear column t by the nearest quotient, so a remainder is at most |p| / 2
+    (Havas-Majewski 1997; Cohen, GTM 138, Alg. 2.4.14); a nonzero one
+    restarts the corner. Column moves then clear row t, a nonzero remainder
+    restarting it too. So does a trailing entry that p does not divide,
+    after its row is added to row t, whose pass then leaves such a
+    remainder. The least entry thus shrinks at least every second restart,
+    so the loop ends, and p divides every trailing entry once the corner is
+    done: the diagonal comes out as the divisibility chain. On the benchmark
+    generator's surgery matrices the transforms' entries reach 351, 2089 and
+    11827 bits at s = 20, 48 and 96.
     """
-    m_rows, n_cols = a.rows, a.cols
+    m, n = a.rows, a.cols
     d = a.to_rows()
-    u = IntMatrix.identity(m_rows).to_rows()
-    v = IntMatrix.identity(n_cols).to_rows()
-
-    def row_swap(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i: int, j: int) -> None:
-        for mat in (d, v):
-            for row in mat:
-                row[i], row[j] = row[j], row[i]
-
-    def row_addmul(dst: int, src: int, k: int) -> None:
-        for mat in (d, u):
-            rd, rs = mat[dst], mat[src]
-            for t in range(len(rd)):
-                rd[t] += k * rs[t]
-
-    def col_addmul(dst: int, src: int, k: int) -> None:
-        for mat in (d, v):
-            for row in mat:
-                row[dst] += k * row[src]
-
-    def row_transform(i: int, j: int, p: int, q: int, r: int, s: int) -> None:
-        # rows (i, j) <- (p*row_i + q*row_j, r*row_i + s*row_j), with ps - qr = +-1
-        for mat in (d, u):
-            ri, rj = mat[i], mat[j]
-            for t in range(len(ri)):
-                x, y = ri[t], rj[t]
-                ri[t] = p * x + q * y
-                rj[t] = r * x + s * y
-
-    def row_negate(i: int) -> None:
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    w = [[int(i == j) for j in range(n)] for i in range(n)]  # V's columns: a column move on V is a row move on w
     t = 0
-    limit = min(m_rows, n_cols)
-    while t < limit:
-        piv = _min_abs_position(d, t)
-        if piv is None:
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            row = d[i]
+            for j in range(t, n):
+                x = row[j]
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        if best is None:
             break
-        pi, pj = piv
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-        while True:
-            dirty = False
-            for i in range(t + 1, m_rows):
-                b = d[i][t]
-                if not b:
-                    continue
-                pivot = d[t][t]
-                if b % pivot == 0:
-                    row_addmul(i, t, -(b // pivot))
-                else:
-                    g, x, y = _xgcd(pivot, b)
-                    row_transform(t, i, x, y, -(b // g), pivot // g)
-                    dirty = True
-            for j in range(t + 1, n_cols):
-                b = d[t][j]
-                if not b:
-                    continue
-                pivot = d[t][t]
-                if b % pivot == 0:
-                    col_addmul(j, t, -(b // pivot))
-                else:
-                    # transpose of the row case: columns (t, j)
-                    g, x, y = _xgcd(pivot, b)
-                    p, q, r, s = x, -(b // g), y, pivot // g
-                    for mat in (d, v):
-                        for row in mat:
-                            xx, yy = row[t], row[j]
-                            row[t] = p * xx + r * yy
-                            row[j] = q * xx + s * yy
-                    dirty = True
-            if not dirty and all(d[i][t] == 0 for i in range(t + 1, m_rows)):
-                break
+        _, i, j = best
+        d[t], d[i] = d[i], d[t]
+        u[t], u[i] = u[i], u[t]
+        if j != t:
+            w[t], w[j] = w[j], w[t]
+            for row in d[t:]:
+                row[t], row[j] = row[j], row[t]
+        # rows above t and columns left of t are clear, so no move reads them
+        prow, urow = d[t], u[t]
+        p, tail = prow[t], prow[t:]
+        for i in range(t + 1, m):
+            row = d[i]
+            if row[t]:
+                q = (2 * row[t] + p) // (2 * p)
+                row[t:] = [x - q * y for x, y in zip(row[t:], tail)]
+                u[i] = [x - q * y for x, y in zip(u[i], urow)]
+        if any(row[t] for row in d[t + 1 :]):
+            continue
+        # column t is clear below p, so a column move changes only row t of d
+        for j in range(t + 1, n):
+            if prow[j]:
+                q = (2 * prow[j] + p) // (2 * p)
+                prow[j] -= q * p
+                w[j] = [x - q * y for x, y in zip(w[j], w[t])]
+        if any(prow[t + 1 :]):
+            continue
+        bad = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None)
+        if bad is not None:
+            d[t] = [x + y for x, y in zip(prow, d[bad])]
+            u[t] = [x + y for x, y in zip(urow, u[bad])]
+            continue
+        if p < 0:
+            d[t] = [-x for x in prow]
+            u[t] = [-x for x in urow]
         t += 1
-
-    rank = t
-    for i in range(rank):
-        if d[i][i] < 0:
-            row_negate(i)
-
-    # repair the divisibility chain d_i | d_{i+1} using unimodular moves only
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            ai, bi = d[i][i], d[i + 1][i + 1]
-            if bi % ai == 0:
-                continue
-            changed = True
-            col_addmul(i, i + 1, 1)
-            g, x, y = _xgcd(ai, bi)
-            row_transform(i, i + 1, x, y, -(bi // g), ai // g)
-            # row i now holds (g, y*bi); clear the off-diagonal remainder
-            col_addmul(i + 1, i, -(d[i][i + 1] // g))
-
     return SmithForm(
-        u=IntMatrix.from_rows(u) if u else IntMatrix(0, 0, ()),
-        d=IntMatrix.from_rows(d) if d else IntMatrix(0, n_cols, ()),
-        v=IntMatrix.from_rows(v) if v else IntMatrix(0, 0, ()),
+        u=IntMatrix(m, m, tuple(x for row in u for x in row)),
+        d=IntMatrix(m, n, tuple(x for row in d for x in row)),
+        v=IntMatrix(n, n, tuple(row[i] for i in range(n) for row in w)),
     )
 
 

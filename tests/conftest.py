@@ -1,8 +1,12 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from idelink import IntMatrix, Manifold, SurgeryPresentation, determinant, load_and_validate, presentation_from_dict
+
+GENERATOR = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
 LENS5 = {
     "surgery": {"components": ["L1"], "matrix": [[5]]},
@@ -71,6 +75,14 @@ def count_linear_algebra(monkeypatch) -> dict:
 
 def load_manifold(data) -> Manifold:
     return load_and_validate(presentation_from_dict(data))
+
+
+def generator_manifold(seed: int, s: int, r: int) -> Manifold:
+    """The benchmark generator's (``perfbench/gen.py``) admissible instance for a seed."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GENERATOR)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return load_manifold(gen.sample_instance(seed, s, r, need_admissible=True).to_dict())
 
 
 def random_manifold(rng, max_surgery, max_link, bound):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from idelink.abelian import FgAbelianGroup, element_order, subgroup_invariant_factors
+from idelink.abelian import FgAbelianGroup, GroupElement, element_order, subgroup_invariant_factors
 from idelink.errors import BadDimensions, BadInput
 from idelink.linalg import IntMatrix, determinant, smith_normal_form
 from idelink.local import complement_homology
@@ -344,6 +344,17 @@ def test_element_coordinates_must_be_integers():
             z5.element(bad)
     with pytest.raises(BadInput):
         z5.quotient([[0.5]])
+
+
+@pytest.mark.parametrize(
+    "coords, error",
+    [((True,), BadInput), ((5.0,), BadInput), ((1, 2), BadDimensions)],
+    ids=["bool", "float", "length"],
+)
+def test_a_directly_built_element_checks_its_coordinates(coords, error):
+    z5 = group(1, [[5]])
+    with pytest.raises(error):
+        GroupElement(z5, coords)
 
 
 def test_element_scalars_must_be_integers(lens5):

@@ -18,10 +18,12 @@ from idelink.errors import (
     SelfLinking,
     UnknownKnot,
 )
-from idelink import linalg
+from idelink import linalg, load_and_validate
+from idelink.abelian import element_order
+from idelink.fuzz import FuzzConfig, _sample_presentation
 from idelink.presentation import SurgeryPresentation, presentation_from_dict, presentation_to_dict
 
-from conftest import HOPF, LENS5, count_linear_algebra, load_manifold, random_manifold
+from conftest import HOPF, LENS5, count_linear_algebra, generator_manifold, load_manifold, random_manifold
 from oracles import fraction_solve
 
 
@@ -283,6 +285,36 @@ def test_certificate_matches_rational_inverse_of_the_smith_transform():
         if cert:
             assert cert.expressions == expressions_via_rational_inverse(man, man.knot_names)
             checked += bool(cert.expressions)
+
+
+def test_certificate_expressions_generate_h1_with_the_invariant_factor_orders():
+    """The admissible certificate's defining property, read with no Smith transform.
+
+    The classes sum_K c_K [K] of the expressions have the invariant factors
+    as orders, in order, and H1(M) modulo them is trivial, so H1(M) is their
+    direct sum. Fuzz-sampled manifolds with s <= 6, then the benchmark
+    generator's s = r = 20 instance.
+    """
+    cfg = FuzzConfig(trials=1, seed=0, max_surgery=6)
+    manifolds = []
+    seed = 0
+    while len(manifolds) < 200:
+        man = load_and_validate(_sample_presentation(random.Random(seed), cfg))
+        if man.h1.invariant_factors and man.generates_h1(man.knot_names):
+            manifolds.append(man)
+        seed += 1
+    manifolds.append(generator_manifold(20, 20, 20))
+    for man in manifolds:
+        cert = man.is_admissible()
+        assert cert and len(cert.expressions) == len(man.h1.invariant_factors)
+        classes = []
+        for expression in cert.expressions:
+            total = man.h1.zero()
+            for k, c in expression.items():
+                total = total + c * man.knot_class(k)
+            classes.append(total)
+        assert tuple(element_order(x) for x in classes) == man.h1.invariant_factors, man.presentation
+        assert man.h1.quotient(x.coords for x in classes).is_trivial(), man.presentation
 
 
 def test_subgroup_factors_read_the_hermite_basis_of_the_knot_classes():
