@@ -40,11 +40,10 @@ its passes on rows and columns until the basis is diagonal
 (Kannan-Bachem). A caller that keeps the Hermite basis passes its columns,
 so the first pass is already a column pass; ``hermite_coordinates`` writes
 a lattice vector in that basis by back-substitution. ``smith_normal_form``
-remains for callers that read its transforms. It pivots on the least entry
-and divides with the nearest remainder, restarting a corner until its pivot
-divides the rest, so the diagonal needs no repair and the transforms grow
-slowly: their entries reach 2089 bits at s = 48 and 11827 at s = 96 on
-the benchmark generator's surgery matrices.
+remains for the two readers of its transforms: the admissibility
+certificate, on the principal divisors, and ``fuzz._sample_cover``. It
+pivots on the least entry and divides with the nearest remainder, so the
+diagonal needs no repair.
 """
 
 from __future__ import annotations
@@ -204,9 +203,9 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     after its row is added to row t, whose pass then leaves such a
     remainder. The least entry thus shrinks at least every second restart,
     so the loop ends, and p divides every trailing entry once the corner is
-    done: the diagonal comes out as the divisibility chain. On the benchmark
-    generator's surgery matrices the transforms' entries reach 351, 2089 and
-    11827 bits at s = 20, 48 and 96.
+    done: the diagonal comes out as the divisibility chain. An entry of
+    absolute value 1 ends the scan for the least one, and a unit pivot
+    divides every entry, so it skips the divisibility scan.
     """
     m, n = a.rows, a.cols
     d = a.to_rows()
@@ -221,6 +220,8 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                 x = row[j]
                 if x and (best is None or abs(x) < best[0]):
                     best = (abs(x), i, j)
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
         _, i, j = best
@@ -249,7 +250,7 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                 w[j] = [x - q * y for x, y in zip(w[j], w[t])]
         if any(prow[t + 1 :]):
             continue
-        bad = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None)
+        bad = None if abs(p) == 1 else next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None)
         if bad is not None:
             d[t] = [x + y for x, y in zip(prow, d[bad])]
             u[t] = [x + y for x, y in zip(urow, u[bad])]
@@ -442,27 +443,31 @@ def hermite_basis_mod(rows: list, width: int, d: int) -> list[list[int]]:
             if not b:
                 if any(w):
                     rest.append(w[1:])
-            elif piv is None:
-                piv = w
-            else:
-                a = piv[0]
-                if b % a == 0:
-                    k = b // a
-                    cleared = [(t - k * s) % d for s, t in zip(piv[1:], w[1:])]
-                else:
-                    g, x, y = _xgcd(a, b)
-                    p, q = a // g, b // g
-                    cleared = [(p * t - q * s) % d for s, t in zip(piv[1:], w[1:])]
-                    piv = [(x * s + y * t) % d for s, t in zip(piv, w)]
+            elif piv is not None and b % piv[0] == 0:
+                # entries stay in [0, d), so w moves only where the pivot row is nonzero
+                k = b // piv[0]
+                cleared = w[1:]
+                for j in support:
+                    cleared[j] = (cleared[j] - k * tail[j]) % d
                 if any(cleared):
                     rest.append(cleared)
+            else:
+                if piv is not None:
+                    g, x, y = _xgcd(piv[0], b)
+                    p, q = piv[0] // g, b // g
+                    cleared = [(p * t - q * s) % d for s, t in zip(tail, w[1:])]
+                    if any(cleared):
+                        rest.append(cleared)
+                    w = [(x * s + y * t) % d for s, t in zip(piv, w)]
+                piv, tail = w, w[1:]
+                support = [j for j, v in enumerate(tail) if v]
         if piv is None:
             row = [d] + [0] * (width - c - 1)
         else:
             # (piv, d e_c) -> (u piv + v d e_c, -(d/h) piv + (a/h) d e_c) is unimodular
             h, u, _ = _xgcd(piv[0], d)
             row = [u * s % d for s in piv]
-            left = [(d // h) * s % d for s in piv[1:]]
+            left = [(d // h) * s % d for s in tail]
             if any(left):
                 rest.append(left)
         basis.append([0] * c + row)
@@ -613,35 +618,21 @@ def solve_integer(a: IntMatrix, c) -> list[int] | None:
     return solve_mod_subgroup(a, IntMatrix(a.rows, 0, ()), c)
 
 
-def solve_each_mod_subgroup(a: IntMatrix, b: IntMatrix, targets) -> list[list[int]] | None:
-    """Canonical x_i with a @ x_i - targets[i] in colspan(b) for every i, else None.
-
-    One lattice answers every target. With m targets, the Hermite basis of
-    {(z, x) : a @ x - sum_i z_i targets[i] in colspan(b)} starts with the rows
-    (e_i, x_i) exactly when each target is reachable; the rows after them
-    are the Hermite basis of ``preimage_lattice(a, b)``, and each x_i is
-    already reduced against them, so it is the canonical representative of
-    its solution coset. No Smith form is involved.
-    """
-    if a.rows != b.rows or any(len(c) != a.rows for c in targets):
-        raise ValueError("incompatible shapes")
-    m = len(targets)
-    negated = IntMatrix.from_columns([[-x for x in c] for c in targets], rows=a.rows)
-    basis = preimage_lattice(hstack(negated, a), b)
-    if len(basis) < m or any(basis[i][i] != 1 for i in range(m)):
-        return None
-    return [row[m:] for row in basis[:m]]
-
-
 def solve_mod_subgroup(a: IntMatrix, b: IntMatrix, c) -> list[int] | None:
     """Canonical x with a @ x - c in the integer column span of b, else None.
 
-    The solution is unique as a coset of ``preimage_lattice(a, b)``; the
-    representative returned is reduced against that Hermite basis, so equal
-    inputs give identical output.
+    The Hermite basis of {(z, x) : a @ x - z c in colspan(b)} starts with a
+    row (1, x) exactly when c is reachable; the rows after it are the
+    Hermite basis of ``preimage_lattice(a, b)``, and x is already reduced
+    against them, so it is the canonical representative of its solution
+    coset and equal inputs give identical output. No Smith form is involved.
     """
-    solved = solve_each_mod_subgroup(a, b, [c])
-    return None if solved is None else solved[0]
+    if a.rows != b.rows or len(c) != a.rows:
+        raise ValueError("incompatible shapes")
+    basis = preimage_lattice(hstack(IntMatrix(a.rows, 1, tuple(-x for x in c)), a), b)
+    if not basis or basis[0][0] != 1:
+        return None
+    return basis[0][1:]
 
 
 def determinant(a: IntMatrix) -> int:

@@ -19,7 +19,8 @@ Lambda is eliminated once per manifold: ``load_and_validate`` reads
 later solve replays it. Per-knot data is computed once.
 ``Manifold.knot_solution`` solves Lambda t = den * ell_K^T on that LU,
 den = |det Lambda|, and keeps t_K with the order den / gcd(den, t_K) of [K]
-per knot name. ``knot_order``, the preferred longitude (``local``), the
+per knot name. ``knot_order``, the principal divisors Y that the
+admissibility certificate reads, the preferred longitude (``local``), the
 divisor map and the principal lattice (``ideles``) all read it, so a knot
 costs one solve per manifold. An unknown name raises on every call;
 nothing is cached for it.
@@ -28,7 +29,7 @@ nothing is cached for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .abelian import FgAbelianGroup, GroupElement
 from .errors import (
@@ -42,14 +43,7 @@ from .errors import (
     json_int,
     json_names,
 )
-from .linalg import (
-    IntMatrix,
-    hermite_coordinates,
-    smith_diagonal_mod,
-    smith_normal_form,
-    solve_each_mod_subgroup,
-    solve_rational,
-)
+from .linalg import IntMatrix, kernel_basis, smith_diagonal_mod, smith_normal_form, solve_rational
 
 __all__ = [
     "SurgeryPresentation",
@@ -133,12 +127,12 @@ def presentation_to_dict(p: SurgeryPresentation) -> dict:
 
 @dataclass(frozen=True)
 class AdmissibilityCertificate:
-    """Witness for whether the knot classes generate H1(M).
+    """Witness for whether the knot classes generate H1(M), read off the principal divisors Y.
 
     When admissible, ``expressions`` writes one generator of each nontrivial
-    invariant factor of H1(M) as an integer combination of knot classes.
-    Otherwise ``subgroup_factors`` gives the invariant factors of the proper
-    subgroup the knot classes do generate.
+    invariant factor of H1(M) as an integer combination of knot classes,
+    reduced against Y. Otherwise ``subgroup_factors`` gives the invariant
+    factors of the proper subgroup G = Z^l / Y the knot classes generate.
     """
 
     admissible: bool
@@ -248,6 +242,8 @@ class Manifold:
 
         Its cached ``hermite_basis`` W is the Hermite basis of
         span(ell_K) + Lambda Z^s, the lattice whose quotient by Lambda Z^s is G.
+        ``generates_h1`` and a stage's ``cokernel`` read it; the certificate
+        reads G off the principal divisors instead.
         """
         return self.h1.quotient(self.knot_class(k).coords for k in self.sublink(link))
 
@@ -255,50 +251,58 @@ class Manifold:
         """Certificate-free version of admissibility for a sublink's classes."""
         return self.knot_quotient(link).is_trivial()
 
-    def admissibility_of(self, link) -> AdmissibilityCertificate:
-        """Certificate for the subgroup of H1(M) generated by a sublink's classes.
+    def principal_divisors(self, link) -> list[list[int]]:
+        """Hermite basis of the principal divisors Y on a sublink of l knots.
 
-        When the classes miss part of H1(M), G is read off the Hermite basis W
-        of ``knot_quotient``, whose rows span G~ = span(ell_K) + Lambda Z^s.
-        Lambda's rows lie in G~, so Lambda = U W with U integral, and
-        G = G~ / Lambda Z^s is Z^s / U^T Z^s: its invariant factors are the
-        Smith diagonal of U's rows modulo |G| = |det Lambda| / |H1(M)/G|.
-        No kernel of the knot classes is taken.
+        Y = {c in Z^l : sum_K c_K ell_K in Lambda Z^s} holds exactly the
+        divisors ``ideles.delta_from_divisor`` accepts. It is
+        ``preimage_lattice`` of the columns ell_K against Lambda, and its
+        kernel elimination resumes after Lambda's block, as in
+        ``ideles.principal_lattice_basis``: with d = det Lambda, sigma its
+        sign and Lambda t_K = |d| ell_K, row i is sigma t_K[i] under c_K
+        over den = d. Y holds |d| Z^l, so the basis has l rows, row j's
+        pivot in column j.
         """
         link = self.sublink(link)
-        s = len(self.surgery_names)
-        coker = self.knot_quotient(link)
-        if not coker.is_trivial():
-            w = coker.hermite_basis
-            u = [hermite_coordinates(w, row) for row in self.surgery_matrix.to_rows()]
-            factors = smith_diagonal_mod(u, s, self.h1.modulus // coker.order())
-            return AdmissibilityCertificate(
-                admissible=False,
-                expressions=None,
-                subgroup_factors=tuple(x for x in factors if x != 1),
-            )
-        class_vectors = [list(self.presentation.lk_with_surgery.row(self.knot_index(k))) for k in link]
-        rel = self.h1.relations
+        l, s = len(link), len(self.surgery_names)
+        d = self.h1.block_lu.minor
+        sigma = 1 if d > 0 else -1
+        ts = [self.knot_solution(k).t for k in link]
+        rows = [[sigma * t[i] for t in ts] for i in range(s)]
+        return [v[:l] for v in kernel_basis(rows, l + s, range(l, l + s), d)]
+
+    def admissibility_of(self, link) -> AdmissibilityCertificate:
+        """Certificate for the subgroup G = Z^l / Y of H1(M) a sublink's classes generate.
+
+        |G| is the product of the pivots of the principal divisors Y, and G
+        is H1(M) exactly when |G| = |det Lambda|. Otherwise G's invariant
+        factors are Y's Smith diagonal mod |G|. When admissible, U R V = D
+        is the Smith form of R = Y^T; column i of U^-1 generates the i-th
+        invariant factor, and U^-1 D = R V makes it R (column i of V) / d_i,
+        in knot coordinates, so U is never inverted. Reduced against Y's
+        rows, it is canonical.
+        """
+        link = self.sublink(link)
+        y = self.principal_divisors(link)
+        order = prod(row[j] for j, row in enumerate(y))
+        if order != self.h1.modulus:
+            factors = smith_diagonal_mod(y, len(link), order)
+            return AdmissibilityCertificate(False, None, tuple(x for x in factors if x != 1))
+        rel = IntMatrix.from_columns(y, rows=len(link))
         snf = smith_normal_form(rel)
-        # column i of U^-1 generates the i-th invariant factor, and U @ rel @ V = D
-        # makes it rel @ (column i of V) / d_i, so U is never inverted
-        gens = []
+        expressions = []
         for i, d in enumerate(snf.diagonal):
             if d != 1:
                 scaled = rel.mul_vector(snf.v.column(i))
                 if any(x % d for x in scaled):
-                    raise ArithmeticError("Smith transforms do not diagonalize the relations")
-                gens.append([x // d for x in scaled])
-        expressions = []
-        if gens:
-            gen_matrix = IntMatrix.from_columns(class_vectors, rows=s)
-            solved = solve_each_mod_subgroup(gen_matrix, rel, gens)
-            if solved is None:
-                raise ArithmeticError("knot classes generate H1(M) yet miss an invariant-factor generator")
-            expressions = [{k: c for k, c in zip(link, coeffs) if c} for coeffs in solved]
-        return AdmissibilityCertificate(
-            admissible=True, expressions=tuple(expressions), subgroup_factors=None
-        )
+                    raise ArithmeticError("Smith transforms do not diagonalize the principal divisors")
+                gen = [x // d for x in scaled]
+                for j, row in enumerate(y):
+                    q = gen[j] // row[j]
+                    if q:
+                        gen = [x - q * v for x, v in zip(gen, row)]
+                expressions.append({k: c for k, c in zip(link, gen) if c})
+        return AdmissibilityCertificate(True, tuple(expressions), None)
 
 
 def load_and_validate(p: SurgeryPresentation) -> Manifold:

@@ -24,7 +24,7 @@ from idelink.fuzz import FuzzConfig, _sample_presentation
 from idelink.presentation import SurgeryPresentation, presentation_from_dict, presentation_to_dict
 
 from conftest import HOPF, LENS5, count_linear_algebra, generator_manifold, load_manifold, random_manifold
-from oracles import fraction_solve
+from oracles import fraction_solve, lattice_reduce
 
 
 def test_lens5_homology(lens5):
@@ -245,46 +245,28 @@ def test_certificate_takes_one_lattice_for_all_invariant_factors(monkeypatch):
             },
         }
     )
-    lattices = []
-    real = linalg.preimage_lattice
+    calls = {"kernel_basis": [], "preimage_lattice": []}
 
-    def counting(a, b):
-        lattices.append((a, b))
-        return real(a, b)
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name].append(args)
+            return real(*args)
 
-    monkeypatch.setattr(linalg, "preimage_lattice", counting)
+        return wrapper
+
+    from idelink import abelian, presentation
+
+    kernels = counting("kernel_basis", linalg.kernel_basis)
+    lattices = counting("preimage_lattice", linalg.preimage_lattice)
+    for module in (linalg, presentation):
+        monkeypatch.setattr(module, "kernel_basis", kernels)
+    for module in (linalg, abelian):
+        monkeypatch.setattr(module, "preimage_lattice", lattices)
     cert = man.is_admissible()
-    # e1 = K1 + K2 + K3, e2 = K2 + K3 and e3 = 3 K3, since 2 e2 = 4 e3 = 0
-    assert cert.expressions == ({"K1": 1, "K2": 1, "K3": 1}, {"K2": 1, "K3": 1}, {"K3": 3})
-    assert len(lattices) == 1
-
-
-def expressions_via_rational_inverse(man, link):
-    """Oracle: invariant-factor generators solved from U x = e_i one Fraction solve at a time."""
-    snf = linalg.smith_normal_form(man.h1.relations)
-    s = len(man.surgery_names)
-    gens = []
-    for i, d in enumerate(snf.diagonal):
-        if d != 1:
-            gen = linalg.solve_rational(snf.u, [1 if t == i else 0 for t in range(s)])
-            assert all(x.denominator == 1 for x in gen)
-            gens.append([int(x) for x in gen])
-    if not gens:
-        return ()
-    classes = [man.knot_class(k).coords for k in link]
-    solved = linalg.solve_each_mod_subgroup(linalg.IntMatrix.from_columns(classes, rows=s), man.h1.relations, gens)
-    return tuple({k: c for k, c in zip(link, coeffs) if c} for coeffs in solved)
-
-
-def test_certificate_matches_rational_inverse_of_the_smith_transform():
-    rng = random.Random(2202)
-    checked = 0
-    while checked < 60:
-        man = random_manifold(rng, 6, 5, 5)
-        cert = man.is_admissible()
-        if cert:
-            assert cert.expressions == expressions_via_rational_inverse(man, man.knot_names)
-            checked += bool(cert.expressions)
+    # K1 = e1 + e2, K2 + K3 = e2 + 4 e3 = e2 and K3 = 3 e3 have orders 2, 2 and 4,
+    # and together they give e2, e1 = K1 - e2 and e3 = -K3, so H1(M) is their direct sum
+    assert cert.expressions == ({"K1": 1}, {"K2": 1, "K3": 1}, {"K3": 1})
+    assert len(calls["kernel_basis"]) == 1 and calls["preimage_lattice"] == []
 
 
 def test_certificate_expressions_generate_h1_with_the_invariant_factor_orders():
@@ -292,29 +274,67 @@ def test_certificate_expressions_generate_h1_with_the_invariant_factor_orders():
 
     The classes sum_K c_K [K] of the expressions have the invariant factors
     as orders, in order, and H1(M) modulo them is trivial, so H1(M) is their
-    direct sum. Fuzz-sampled manifolds with s <= 6, then the benchmark
-    generator's s = r = 20 instance.
+    direct sum. Fuzz-sampled manifolds with s <= 6, on the whole link and on
+    admissible proper sublinks, then the benchmark generator's s = r = 20
+    and s = r = 48 instances.
     """
     cfg = FuzzConfig(trials=1, seed=0, max_surgery=6)
-    manifolds = []
+    stages = []
+    proper = 0
     seed = 0
-    while len(manifolds) < 200:
-        man = load_and_validate(_sample_presentation(random.Random(seed), cfg))
-        if man.h1.invariant_factors and man.generates_h1(man.knot_names):
-            manifolds.append(man)
+    while len(stages) < 200 or proper < 100:
+        rng = random.Random(seed)
+        man = load_and_validate(_sample_presentation(rng, cfg))
         seed += 1
-    manifolds.append(generator_manifold(20, 20, 20))
-    for man in manifolds:
-        cert = man.is_admissible()
+        if not man.h1.invariant_factors:
+            continue
+        if man.generates_h1(man.knot_names):
+            stages.append((man, man.knot_names))
+        for k in range(1, len(man.knot_names)):
+            link = man.sublink(rng.sample(man.knot_names, k))
+            if man.generates_h1(link):
+                stages.append((man, link))
+                proper += 1
+                break
+    for s in (20, 48):
+        man = generator_manifold(s, s, s)
+        stages.append((man, man.knot_names))
+    for man, link in stages:
+        cert = man.admissibility_of(link)
         assert cert and len(cert.expressions) == len(man.h1.invariant_factors)
         classes = []
         for expression in cert.expressions:
+            assert set(expression) <= set(link)
             total = man.h1.zero()
             for k, c in expression.items():
                 total = total + c * man.knot_class(k)
             classes.append(total)
-        assert tuple(element_order(x) for x in classes) == man.h1.invariant_factors, man.presentation
-        assert man.h1.quotient(x.coords for x in classes).is_trivial(), man.presentation
+        assert tuple(element_order(x) for x in classes) == man.h1.invariant_factors, (man.presentation, link)
+        assert man.h1.quotient(x.coords for x in classes).is_trivial(), (man.presentation, link)
+
+
+def test_certificate_transforms_stay_within_the_order_of_h1(monkeypatch):
+    """Growth guard: the Smith form of the principal divisors at s = r = 48 keeps every
+    transform entry within the bit length of |det Lambda| (179 bits); the Smith form
+    of Lambda itself reached 2089."""
+    from idelink import fuzz, presentation
+
+    man = generator_manifold(48, 48, 48)
+    forms = []
+    real = linalg.smith_normal_form
+
+    def recording(a):
+        forms.append(real(a))
+        return forms[-1]
+
+    for module in (linalg, presentation, fuzz):
+        monkeypatch.setattr(module, "smith_normal_form", recording)
+    assert man.is_admissible()
+    bound = man.h1.modulus.bit_length()
+    assert forms
+    for snf in forms:
+        longest = max(abs(x).bit_length() for x in snf.u.entries + snf.v.entries)
+        assert longest <= bound, (longest, bound)
 
 
 def test_subgroup_factors_read_the_hermite_basis_of_the_knot_classes():
@@ -337,7 +357,53 @@ def test_subgroup_factors_read_the_hermite_basis_of_the_knot_classes():
     assert non_admissible >= 200 and nontrivial >= 100, (non_admissible, nontrivial)
 
 
+def test_principal_divisors_are_the_whole_kernel_and_the_divisors_delta_accepts():
+    """Y on seeded (manifold, sublink) pairs, s = 0 and the empty sublink among them.
+
+    The resumed kernel equals ``preimage_lattice`` of [classes | Lambda],
+    the whole kernel, and a divisor lies in Y exactly when
+    ``delta_from_divisor`` finds its principal idele.
+    """
+    from idelink.errors import DivisorNotPrincipal
+    from idelink.ideles import Divisor, delta_from_divisor
+    from idelink.local import complement_homology
+
+    rng = random.Random(2424)
+    empty = flat = 0
+    member = {True: 0, False: 0}
+    for _ in range(1200):
+        man = random_manifold(rng, 5, 5, rng.choice((2, 3, 5)))
+        knots = list(man.knot_names)
+        link = man.sublink(rng.sample(knots, rng.randint(0, len(knots))))
+        s = len(man.surgery_names)
+        classes = linalg.IntMatrix.from_columns([man.knot_class(k).coords for k in link], rows=s)
+        y = man.principal_divisors(link)
+        assert y == linalg.preimage_lattice(classes, man.surgery_matrix), (man.presentation, link)
+        empty += not link
+        flat += s == 0
+        comp = complement_homology(man, link)
+        for _ in range(2):
+            if rng.random() < 0.5:  # in Y by construction
+                c = [0] * len(link)
+                for row in y:
+                    q = rng.randint(-3, 3)
+                    c = [a + q * b for a, b in zip(c, row)]
+            else:
+                c = [rng.randint(-6, 6) for _ in link]
+            inside = not any(lattice_reduce(c, y))
+            try:
+                delta_from_divisor(comp, Divisor.of(dict(zip(link, c))))
+                accepted = True
+            except DivisorNotPrincipal:
+                accepted = False
+            assert accepted == inside, (man.presentation, link, c)
+            member[inside] += 1
+    assert empty >= 100 and flat >= 100 and min(member.values()) >= 500, (empty, flat, member)
+
+
 def test_generates_h1_matches_certificate():
+    """Two independent routes to admissibility: the Hermite basis W of span(ell_K) + Lambda Z^s
+    (``generates_h1``) and the principal divisors Y (``admissibility_of``)."""
     cases = [
         LENS5,
         HOPF,
@@ -351,6 +417,16 @@ def test_generates_h1_matches_certificate():
         for link in (None, man.knot_names[:1]):
             chosen = man.sublink(link)
             assert man.generates_h1(chosen) == bool(man.admissibility_of(chosen))
+    rng = random.Random(2323)
+    outcomes = {True: 0, False: 0}
+    for _ in range(1000):
+        man = random_manifold(rng, 5, 5, rng.choice((2, 3, 5)))
+        knots = list(man.knot_names)
+        link = man.sublink(rng.sample(knots, rng.randint(0, len(knots))))
+        admissible = man.generates_h1(link)
+        assert admissible == bool(man.admissibility_of(link)), (man.presentation, link)
+        outcomes[admissible] += 1
+    assert min(outcomes.values()) >= 200, outcomes
 
 
 def test_handle_slide_preserves_invariants():
