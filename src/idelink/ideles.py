@@ -35,7 +35,7 @@ from operator import mul
 
 from .abelian import GroupElement
 from .errors import BadInput, DivisorNotPrincipal, SupportOutsideLink, json_int
-from .linalg import IntMatrix, hermite_basis_mod, hermite_coordinates, kernel_basis, smith_diagonal_mod
+from .linalg import IntMatrix, hermite_coordinates, kernel_basis, kernel_mod, smith_diagonal_mod
 from .local import ComplementHomology, PeripheralClass, local_intersection
 
 __all__ = [
@@ -285,10 +285,9 @@ def _radical_invariants(lam: IntMatrix, w: list[list[int]]) -> tuple[int, ...]:
     # c Z^s lies in W^T Z^s, so only U mod c matters
     u = [[x % c for x in hermite_coordinates(w, lam.row(i))] for i in range(s)]
     # U a lies in W^T Z^s iff V a = 0 mod c, with V = c W^-T U integral (c W^-1 is W's adjugate);
-    # so P = {a : U a in W^T Z^s} is the tail block of the Hermite basis of (V^T | I) + c Z^2s
+    # so P = {a : U a in W^T Z^s} is the kernel mod c of V's columns
     v_columns = [hermite_coordinates(w, [c * row[i] for row in u]) for i in range(s)]
-    gens = [col + [int(t == i) for t in range(s)] for i, col in enumerate(v_columns)]
-    p = [row[s:] for row in hermite_basis_mod(gens, 2 * s, c)[s:]]
+    p = kernel_mod(v_columns, c)
     # T = P / W Z^s, presented by W's columns written in P's basis
     diagonal = smith_diagonal_mod([hermite_coordinates(p, col) for col in zip(*w)], s, c)
     return tuple(x for x in diagonal if x != 1)

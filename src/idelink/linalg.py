@@ -18,11 +18,15 @@ them), and for a square nonsingular matrix it solves every right-hand
 side, so one elimination of a surgery matrix gives its determinant and
 every solve; ``kernel_basis`` (``integer_kernel``) reads the
 rational kernel, columns right to left, so the free columns are the
-Hermite pivot columns of the kernel, and Hermite-reduces its integral
-lattice modulo the nullspace denominator (Domich-Kannan-Trotter); a caller
-that already knows the elimination's state after some pivots resumes it
-there. No kernel takes the Smith form, whose transforms suffer
-coefficient growth.
+Hermite pivot columns of the kernel, and lifts ``kernel_mod`` of its free
+coordinates; a caller that already knows the elimination's state after
+some pivots resumes it there. No kernel takes the Smith form, whose
+transforms suffer coefficient growth.
+
+``kernel_mod`` is the one construction of the vectors vanishing mod d,
+{y : sum_i y_i v_i = 0 mod d}: the tail of one Hermite basis modulo d
+(Domich-Kannan-Trotter). The lift in ``kernel_basis``, the class group's
+torsion lattice and the principal divisors Y all read it.
 
 Every lattice question "which x satisfy a @ x in colspan(b)?" (principal
 ideles, subgroups generated by classes, solutions modulo a subgroup) goes
@@ -482,6 +486,18 @@ def hermite_basis_mod(rows: list, width: int, d: int) -> list[list[int]]:
     return basis
 
 
+def kernel_mod(vectors: list, d: int) -> list[list[int]]:
+    """Canonical Hermite basis of {y in Z^k : sum_i y_i vectors[i] = 0 mod d}, k = len(vectors).
+
+    It is the tail block of ``hermite_basis_mod`` of the rows (v_i | e_i)
+    plus d * Z^(p + k), p the vectors' length: the rows past p are the
+    (0 | y) in that lattice. So it has k rows, pivots dividing d.
+    """
+    k, p = len(vectors), len(vectors[0]) if vectors else 0
+    gens = [list(v) + [int(j == i) for j in range(k)] for i, v in enumerate(vectors)]
+    return [row[p:] for row in hermite_basis_mod(gens, p + k, d)[p:]]
+
+
 def smith_diagonal_mod(rows: list, width: int, d: int) -> list[int]:
     """Smith diagonal of the lattice span(rows) + d * Z^width, computed mod d.
 
@@ -547,13 +563,11 @@ def kernel_basis(work: list[list[int]], width: int, pivots=(), den: int = 1) -> 
     No Smith form is involved. A fraction-free nullspace with pivot columns
     chosen right to left gives the free columns, which are exactly the
     Hermite pivot columns of the kernel, and ``x_pivots = y @ m / den`` for
-    the free coordinates ``y``. The integral kernel is the lift of the
-    lattice {y : y @ m = 0 mod den}; its Hermite basis is the identity block
-    of the Hermite basis of ``[m | I] + den * Z^n``, computed modulo ``den``,
-    so no entry of that reduction grows past ``den``. The lifted rows are
-    already reduced above their pivots, which all lie among the free columns,
-    so the output is the canonical, saturated, sign-normalized Hermite basis
-    of the kernel.
+    the free coordinates ``y``. The integral kernel is the lift of
+    ``kernel_mod(m, den)``, the lattice {y : y @ m = 0 mod den}. The lifted
+    rows are already reduced above their pivots, which all lie among the
+    free columns, so the output is the canonical, saturated,
+    sign-normalized Hermite basis of the kernel.
 
     A caller that knows the state the elimination reaches after its first
     pivots, the rightmost columns, each of which takes a pivot, passes it as
@@ -563,11 +577,8 @@ def kernel_basis(work: list[list[int]], width: int, pivots=(), den: int = 1) -> 
     output is canonical, so it is the same.
     """
     free, pivots, m, den = _fraction_free_nullspace(work, width, pivots, den)
-    k, p = len(free), len(pivots)
-    gens = [m[i] + [1 if j == i else 0 for j in range(k)] for i in range(k)]
     vectors = []
-    for row in hermite_basis_mod(gens, p + k, den)[p:]:
-        y = row[p:]
+    for y in kernel_mod(m, den):
         x = [0] * width
         for f, t in zip(free, y):
             x[f] = t

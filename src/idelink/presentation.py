@@ -43,7 +43,7 @@ from .errors import (
     json_int,
     json_names,
 )
-from .linalg import IntMatrix, kernel_basis, smith_diagonal_mod, smith_normal_form, solve_rational
+from .linalg import IntMatrix, kernel_mod, smith_diagonal_mod, smith_normal_form, solve_rational
 
 __all__ = [
     "SurgeryPresentation",
@@ -255,21 +255,11 @@ class Manifold:
         """Hermite basis of the principal divisors Y on a sublink of l knots.
 
         Y = {c in Z^l : sum_K c_K ell_K in Lambda Z^s} holds exactly the
-        divisors ``ideles.delta_from_divisor`` accepts. It is
-        ``preimage_lattice`` of the columns ell_K against Lambda, and its
-        kernel elimination resumes after Lambda's block, as in
-        ``ideles.principal_lattice_basis``: with d = det Lambda, sigma its
-        sign and Lambda t_K = |d| ell_K, row i is sigma t_K[i] under c_K
-        over den = d. Y holds |d| Z^l, so the basis has l rows, row j's
-        pivot in column j.
+        divisors ``ideles.delta_from_divisor`` accepts. As Lambda t_K =
+        |det Lambda| ell_K, Y = {c : sum_K c_K t_K = 0 mod |det Lambda|}, a
+        congruence kernel: l rows, row j's pivot in column j.
         """
-        link = self.sublink(link)
-        l, s = len(link), len(self.surgery_names)
-        d = self.h1.block_lu.minor
-        sigma = 1 if d > 0 else -1
-        ts = [self.knot_solution(k).t for k in link]
-        rows = [[sigma * t[i] for t in ts] for i in range(s)]
-        return [v[:l] for v in kernel_basis(rows, l + s, range(l, l + s), d)]
+        return kernel_mod([self.knot_solution(k).t for k in self.sublink(link)], self.h1.modulus)
 
     def admissibility_of(self, link) -> AdmissibilityCertificate:
         """Certificate for the subgroup G = Z^l / Y of H1(M) a sublink's classes generate.

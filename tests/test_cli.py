@@ -1,5 +1,6 @@
 """Command-line surface: golden outputs, error codes, determinism, parser reuse."""
 
+import hashlib
 import json
 import os
 import random
@@ -443,6 +444,17 @@ def test_fuzz_stdout_is_byte_identical_across_processes():
     assert r1.stdout.startswith(b'{"config"')
     # diagnostics go to stderr, never stdout
     assert b"trials in" in r1.stderr
+
+
+def test_fuzz_report_is_pinned(capsys):
+    """The seed-7, 300-trial report, byte for byte (the CI fuzz tiers pin sizes 12 and 24 the same way).
+
+    The hash changes only when a change alters the report on purpose, which
+    also changes perfbench's recorded ``fuzz-small`` digest.
+    """
+    assert run_command(["fuzz", "--trials", "300", "--seed", "7"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "3ed40c07f375037d4a026b393fc43d38b8ff326cd857f3f4bac9d6d2b1c4cc88"
 
 
 def fresh_stdout(*argv) -> str:

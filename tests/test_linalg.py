@@ -7,7 +7,8 @@ kernel against the Smith-transform route it replaced, preimage_lattice
 against a second Hermite pass over its sliced kernel, the fraction-free LU
 against frozen cases and the Fraction solve, and
 smith_diagonal_mod against the full Smith form of the generators with
-d * I appended, and integer_kernel and preimage_lattice against sympy's
+d * I appended, kernel_mod against a count of its congruence's solutions,
+and integer_kernel and preimage_lattice against sympy's
 Hermite normal form when sympy is installed. The Hermite oracles are the
 plain eliminations in ``oracles.py``.
 """
@@ -43,6 +44,7 @@ from idelink.linalg import (
     hermite_coordinates,
     hstack,
     integer_kernel,
+    kernel_mod,
     leading_block_lu,
     preimage_lattice,
     smith_diagonal_mod,
@@ -361,6 +363,39 @@ def test_smith_diagonal_mod_raises_past_its_pass_cap(monkeypatch):
         smith_diagonal_mod([[1, 1]], 2, 12)
     # the first pass, then width * d.bit_length() more
     assert len(passes) == 1 + 2 * 4
+
+
+def test_kernel_mod_is_the_canonical_basis_of_the_congruence_lattice():
+    """k, p <= 3 and d <= 12, entries in [-20, 20]: a canonical Hermite basis whose rows
+    satisfy the congruence and whose pivots multiply to d^k / N, N counting the
+    solutions in [0, d)^k. The rows span a sublattice of the same index, so it is the lattice."""
+    assert kernel_mod([[2], [3]], 6) == [[3, 0], [0, 2]]
+    assert kernel_mod([[1], [1]], 4) == [[1, 3], [0, 4]]
+    rng = random.Random(2425)
+    for _ in range(400):
+        k, p, d = rng.randint(1, 3), rng.randint(0, 3), rng.randint(1, 12)
+        vectors = [[rng.randint(-20, 20) for _ in range(p)] for _ in range(k)]
+
+        def vanishes(y):
+            return all(sum(c * v[j] for c, v in zip(y, vectors)) % d == 0 for j in range(p))
+
+        basis = kernel_mod(vectors, d)
+        assert len(basis) == k and all(len(row) == k for row in basis), (vectors, d)
+        for i, row in enumerate(basis):
+            assert not any(row[:i]) and row[i] > 0 and d % row[i] == 0, (vectors, d)
+            assert all(0 <= above[i] < row[i] for above in basis[:i]), (vectors, d)
+            assert vanishes(row), (vectors, d)
+        solutions = sum(map(vanishes, itertools.product(range(d), repeat=k)))
+        assert math.prod(row[i] for i, row in enumerate(basis)) * solutions == d**k, (vectors, d)
+
+
+def test_kernel_mod_edge_cases():
+    assert kernel_mod([], 5) == []
+    assert kernel_mod([[], [], []], 7) == IntMatrix.identity(3).to_rows()
+    assert kernel_mod([[3, -4], [5, 2]], 1) == IntMatrix.identity(2).to_rows()
+    for d in (0, -3):
+        with pytest.raises(ArithmeticError):
+            kernel_mod([[1, 2]], d)
 
 
 def test_hermite_row_basis_matches_the_elimination_oracle():

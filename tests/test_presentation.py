@@ -245,7 +245,8 @@ def test_certificate_takes_one_lattice_for_all_invariant_factors(monkeypatch):
             },
         }
     )
-    calls = {"kernel_basis": [], "preimage_lattice": []}
+    names = ("kernel_mod", "kernel_basis", "preimage_lattice")
+    calls = {name: [] for name in names}
 
     def counting(name, real):
         def wrapper(*args):
@@ -254,19 +255,20 @@ def test_certificate_takes_one_lattice_for_all_invariant_factors(monkeypatch):
 
         return wrapper
 
-    from idelink import abelian, presentation
+    from idelink import abelian, ideles, presentation
 
-    kernels = counting("kernel_basis", linalg.kernel_basis)
-    lattices = counting("preimage_lattice", linalg.preimage_lattice)
-    for module in (linalg, presentation):
-        monkeypatch.setattr(module, "kernel_basis", kernels)
-    for module in (linalg, abelian):
-        monkeypatch.setattr(module, "preimage_lattice", lattices)
+    for name in names:
+        spy = counting(name, getattr(linalg, name))
+        for module in (linalg, abelian, ideles, presentation):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
     cert = man.is_admissible()
     # K1 = e1 + e2, K2 + K3 = e2 + 4 e3 = e2 and K3 = 3 e3 have orders 2, 2 and 4,
     # and together they give e2, e1 = K1 - e2 and e3 = -K3, so H1(M) is their direct sum
     assert cert.expressions == ({"K1": 1}, {"K2": 1, "K3": 1}, {"K3": 1})
-    assert len(calls["kernel_basis"]) == 1 and calls["preimage_lattice"] == []
+    # Y is the one congruence kernel of the knots' solves, modulo |det Lambda| = 16
+    assert [args[1] for args in calls["kernel_mod"]] == [16]
+    assert calls["kernel_basis"] == [] and calls["preimage_lattice"] == []
 
 
 def test_certificate_expressions_generate_h1_with_the_invariant_factor_orders():
@@ -360,9 +362,11 @@ def test_subgroup_factors_read_the_hermite_basis_of_the_knot_classes():
 def test_principal_divisors_are_the_whole_kernel_and_the_divisors_delta_accepts():
     """Y on seeded (manifold, sublink) pairs, s = 0 and the empty sublink among them.
 
-    The resumed kernel equals ``preimage_lattice`` of [classes | Lambda],
-    the whole kernel, and a divisor lies in Y exactly when
-    ``delta_from_divisor`` finds its principal idele.
+    The congruence kernel of the knots' solves modulo |det Lambda| equals
+    ``preimage_lattice`` of [classes | Lambda], the whole kernel, there and
+    on the benchmark generator's s = r = 48 instance (whole link and one
+    seeded half-link), where |det Lambda| has 179 bits; and a divisor lies
+    in Y exactly when ``delta_from_divisor`` finds its principal idele.
     """
     from idelink.errors import DivisorNotPrincipal
     from idelink.ideles import Divisor, delta_from_divisor
@@ -399,6 +403,11 @@ def test_principal_divisors_are_the_whole_kernel_and_the_divisors_delta_accepts(
             assert accepted == inside, (man.presentation, link, c)
             member[inside] += 1
     assert empty >= 100 and flat >= 100 and min(member.values()) >= 500, (empty, flat, member)
+    man = generator_manifold(48, 48, 48)
+    assert man.h1.modulus.bit_length() == 179
+    for link in (man.knot_names, man.sublink(random.Random(48).sample(man.knot_names, 24))):
+        classes = linalg.IntMatrix.from_columns([man.knot_class(k).coords for k in link], rows=48)
+        assert man.principal_divisors(link) == linalg.preimage_lattice(classes, man.surgery_matrix), link
 
 
 def test_generates_h1_matches_certificate():
