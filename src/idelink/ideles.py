@@ -17,10 +17,11 @@ Hermite basis W of G~ = span(ell_K) + Lambda Z^s that the cokernel H1(M)/G
 also reads; the stage keeps that cokernel, so W is eliminated once per
 stage. Every torsion step runs modulo c = |H1(M)/G|, the product of W's
 pivots. On an admissible stage G is all of H1(M), so c = 1 and the torsion
-is trivial with no elimination. ``principal_lattice_basis`` takes the
-kernel of the peripheral table and starts its elimination after Lambda's
-block, from the manifold's LU and per-knot solves, so Lambda is never
-eliminated twice.
+is trivial with no elimination. The principal ideles are the graph
+{(A y, y) : y in Y} over the principal divisors Y, with A the rational
+linking matrix A_ab = ell_a . t_b / |det Lambda| - lk(K_a, K_b);
+``principal_lattice_basis`` eliminates the l knot rows that define it, over
+|det Lambda|, and never eliminates Lambda.
 
 The global pairing of two ideles is the sum over knots of the local
 intersection numbers; reciprocity (vanishing on principal pairs) is
@@ -242,31 +243,41 @@ def principal_lattice_basis(comp: ComplementHomology) -> list[Idele]:
 
     It is ``preimage_lattice(P, comp.relations)`` for the peripheral table
     P, whose columns are each knot b's ``meridian_coords`` and
-    ``longitude_coords``: the kernel of [P | relations], cut to the
-    peripheral columns x_b (knot b's meridian) and y_b (its longitude),
-    which ``tests/oracles.py`` computes whole. Its elimination starts
-    after Lambda's block, the first s relation columns u_i, pivoted on
-    Lambda's rows. With d = det Lambda, sigma its sign and t_b the cached
-    solve of knot b (Lambda t_b = |d| ell_b), that state is, over den = d,
-    Lambda's row i: sigma t_b[i] under y_b and 0 under x_b, pivot u_i;
-    knot row a: d [a = b] under x_b and d lk(K_a, K_b) - sigma ell_a . t_b
-    under y_b. ``kernel_basis`` goes on from there, and its Hermite basis
-    is canonical, so it is the one the whole elimination gives.
+    ``longitude_coords``, which ``tests/oracles.py`` computes whole; here it
+    is the graph {(A y, y) : y in Y} in interleaved columns x_b (knot b's
+    meridian) and y_b (its longitude). With D = |det Lambda| and t_b the
+    cached solve of knot b (Lambda t_b = D ell_b), knot row a reads
+    D [a = b] under x_b and D lk(K_a, K_b) - ell_a . t_b under y_b, over the
+    denominator D: the state an elimination of [P | relations] reaches after
+    Lambda's block, up to the sign of det Lambda, which scales every row and
+    den alike and so keeps each division exact. Its integer kernel is the
+    graph over Y+ = {y : A y integral}, which holds Y with index the torsion
+    of the class group. Row h_j of that graph lies over Y exactly when
+    w_j = sum_b y_b(h_j) t_b vanishes mod D, so Y's graph is
+    ``kernel_mod(w, D)`` times it: an upper triangular product, already in
+    echelon form, whose entries above each pivot are then reduced.
     """
     man, link = comp.manifold, comp.link
-    s, width = len(man.surgery_names), 2 * len(link)
-    d = man.h1.block_lu.minor
-    sigma = 1 if d > 0 else -1
+    s, d = len(man.surgery_names), man.h1.modulus
     ts = [man.knot_solution(b).t for b in link]
-    rows = [[v for t in ts for v in (0, sigma * t[i])] for i in range(s)]
+    rows = []
     for a, k in enumerate(link):
         row = comp.longitude_coords(k)
         ell, lk = row[:s], row[s:]
-        rows.append(
-            [v for b, t in enumerate(ts) for v in (d if a == b else 0, d * lk[b] - sigma * sum(map(mul, ell, t)))]
-        )
-    kernel = kernel_basis(rows, width + s, range(width, width + s), d)
-    return [_idele_from_pairs(link, v) for v in kernel if any(v[:width])]
+        rows.append([v for b, t in enumerate(ts) for v in (d if a == b else 0, d * lk[b] - sum(map(mul, ell, t)))])
+    graph = kernel_basis(rows, 2 * len(link), d)
+    solves = list(zip(*ts))
+    w = [[sum(map(mul, h[1::2], t)) % d for t in solves] for h in graph]
+    if any(map(any, w)):
+        columns = list(zip(*graph))
+        graph = [[sum(map(mul, c[i:], col[i:])) for col in columns] for i, c in enumerate(kernel_mod(w, d))]
+        leads = [next(j for j, v in enumerate(h) if v) for h in graph]
+        for r in range(len(graph) - 2, -1, -1):
+            for i in range(r + 1, len(graph)):
+                q = graph[r][leads[i]] // graph[i][leads[i]]
+                if q:
+                    graph[r] = [x - q * y for x, y in zip(graph[r], graph[i])]
+    return [_idele_from_pairs(link, v) for v in graph]
 
 
 def _radical_invariants(lam: IntMatrix, w: list[list[int]]) -> tuple[int, ...]:

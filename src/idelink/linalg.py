@@ -19,14 +19,15 @@ side, so one elimination of a surgery matrix gives its determinant and
 every solve; ``kernel_basis`` (``integer_kernel``) reads the
 rational kernel, columns right to left, so the free columns are the
 Hermite pivot columns of the kernel, and lifts ``kernel_mod`` of its free
-coordinates; a caller that already knows the elimination's state after
-some pivots resumes it there. No kernel takes the Smith form, whose
-transforms suffer coefficient growth.
+coordinates; rows that already stand over a denominator, as the principal
+ideles' knot rows stand over |det Lambda|, start the elimination from it.
+No kernel takes the Smith form, whose transforms suffer coefficient growth.
 
 ``kernel_mod`` is the one construction of the vectors vanishing mod d,
 {y : sum_i y_i v_i = 0 mod d}: the tail of one Hermite basis modulo d
 (Domich-Kannan-Trotter). The lift in ``kernel_basis``, the class group's
-torsion lattice and the principal divisors Y all read it.
+torsion lattice, the principal divisors Y and the principal ideles' cut to
+Y all read it.
 
 Every lattice question "which x satisfy a @ x in colspan(b)?" (principal
 ideles, subgroups generated by classes, solutions modulo a subgroup) goes
@@ -270,7 +271,7 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     )
 
 
-def _gauss_jordan(work: list[list[int]], order, reduced: bool, pivots=(), den: int = 1, steps=None) -> tuple[list[int], int, int]:
+def _gauss_jordan(work: list[list[int]], order, reduced: bool, den: int = 1, steps=None) -> tuple[list[int], int, int]:
     """Fraction-free (Bareiss 1968) Gauss-Jordan elimination of the rows ``work``, in place.
 
     Columns are visited in ``order``. Each takes as pivot the first row at or
@@ -278,27 +279,24 @@ def _gauss_jordan(work: list[list[int]], order, reduced: bool, pivots=(), den: i
     skipped when there is none; a pivot clears its column in the rows below
     it, and in those above it too when ``reduced``, and that column is then
     deleted, as no reader needs it again. Returns ``(pivots, den, sign)``:
-    the pivot columns as found (pivot i in row i), the last pivot (1 if none)
-    and the sign of the row permutation; den is, up to sign, the minor on the
-    pivot rows and columns, and ``sign * den`` the determinant of a square
-    nonsingular input. Every entry is, up to sign, a minor of the input, and
-    every division is checked exact.
+    the pivot columns as found (pivot i in row i), the last pivot (``den`` if
+    none) and the sign of the row permutation; den is, up to sign, the minor
+    on the pivot rows and columns, and ``sign * den`` the determinant of a
+    square nonsingular input. Every entry is, up to sign, a minor of the
+    input, and every division is checked exact.
 
-    ``pivots`` and ``den`` resume an elimination from a state it reached:
-    those columns are pivoted (pivot i in row i) and already deleted from
-    ``work``, and ``order`` lists only columns still there. Given a list
-    ``steps``, a forward (not ``reduced``) run appends per pivot the row it
-    swapped into place, the pivot, the multipliers it popped below it and
-    the pivot row, which no later step touches: ``FractionFreeLU`` replays
-    them on a right-hand side.
+    A ``den`` other than 1 goes on from a state some elimination reached over
+    that last pivot, its pivot rows left out: the rows must be that state's,
+    and they stay its minors. Given a list ``steps``, a forward (not
+    ``reduced``) run appends per pivot the row it swapped into place, the
+    pivot, the multipliers it popped below it and the pivot row, which no
+    later step touches: ``FractionFreeLU`` replays them on a right-hand side.
     """
-    pivots = list(pivots)
-    width = len(work[0]) + len(pivots) if work else 0
-    taken = set(pivots)
-    live = [c for c in range(width) if c not in taken]
+    live = list(range(len(work[0]) if work else 0))
+    pivots: list[int] = []
     # total: the sum of the entries the next step may read; a step's floor
     # remainders share the sign of den, so they all vanish iff their sum does
-    total = sum(map(sum, work if reduced else work[len(pivots) :]))
+    total = sum(map(sum, work))
     sign = 1
     for c in order:
         r = len(pivots)
@@ -399,28 +397,6 @@ def leading_block_lu(a: IntMatrix) -> FractionFreeLU | None:
     if a.rows < k:
         return None
     return FractionFreeLU(a if a.rows == k else IntMatrix(k, k, a.entries[: k * k]))
-
-
-def _fraction_free_nullspace(work: list[list[int]], width: int, pivots=(), den: int = 1) -> tuple[list[int], list[int], list[list[int]], int]:
-    """Rational kernel of the rows ``work`` by ``_gauss_jordan``, pivot columns chosen right to left.
-
-    A column is then free exactly when some kernel vector has its first
-    nonzero coordinate there. ``pivots`` and ``den`` resume from a state the
-    elimination reaches, as in ``_gauss_jordan``; ``width`` counts every
-    column, deleted ones too. Returns ``(free, pivots, m, den)``: the free
-    and pivot columns in ascending order, and an integer matrix ``m`` (one
-    row per free column) with ``den >= 1`` such that ``x`` lies in the
-    rational kernel if and only if ``x[pivots] = x[free] @ m / den``.
-    """
-    taken = set(pivots)
-    order = [c for c in range(width - 1, -1, -1) if c not in taken]
-    found, den, _ = _gauss_jordan(work, order, True, pivots, den)
-    # row i reads den * x[found[i]] + sum_t work[i][t] * x[free[t]] = 0
-    rows = sorted(range(len(found)), key=found.__getitem__)
-    free = [c for c in range(width) if c not in found]
-    sign = -1 if den > 0 else 1
-    m = [[sign * work[i][t] for i in rows] for t in range(len(free))]
-    return free, sorted(found), m, abs(den)
 
 
 def hermite_basis_mod(rows: list, width: int, d: int) -> list[list[int]]:
@@ -557,33 +533,37 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(kernel_basis(a.to_rows(), a.cols), rows=a.cols)
 
 
-def kernel_basis(work: list[list[int]], width: int, pivots=(), den: int = 1) -> list[list[int]]:
+def kernel_basis(work: list[list[int]], width: int, den: int = 1) -> list[list[int]]:
     """Hermite basis of the integer kernel of the rows ``work``, one vector per basis element.
 
-    No Smith form is involved. A fraction-free nullspace with pivot columns
-    chosen right to left gives the free columns, which are exactly the
-    Hermite pivot columns of the kernel, and ``x_pivots = y @ m / den`` for
-    the free coordinates ``y``. The integral kernel is the lift of
-    ``kernel_mod(m, den)``, the lattice {y : y @ m = 0 mod den}. The lifted
-    rows are already reduced above their pivots, which all lie among the
-    free columns, so the output is the canonical, saturated,
-    sign-normalized Hermite basis of the kernel.
-
-    A caller that knows the state the elimination reaches after its first
-    pivots, the rightmost columns, each of which takes a pivot, passes it as
-    ``work`` (those columns deleted), ``pivots`` and ``den``, as
-    ``_gauss_jordan`` resumes; ``width`` counts every column. The pivot rows
-    may differ from the ones the whole elimination would pick, but the
-    output is canonical, so it is the same.
+    No Smith form is involved. ``_gauss_jordan`` reduces the rows with pivot
+    columns chosen right to left, so a column is free exactly when some
+    kernel vector has its first nonzero coordinate there: the free columns
+    are the Hermite pivot columns of the kernel. Pivot row i then reads
+    den * x[pivot i] + sum_t work[i][t] * x[free[t]] = 0, so
+    ``x_pivots = y @ m / |den|`` for the free coordinates ``y``, and the
+    integral kernel is the lift of ``kernel_mod(m, |den|)``, the lattice
+    {y : y @ m = 0 mod |den|}. The lifted rows are already reduced above
+    their pivots, which all lie among the free columns, so the output is the
+    canonical, saturated, sign-normalized Hermite basis of the kernel.
+    ``den`` goes on from a state some elimination reached, as in
+    ``_gauss_jordan``; the kernel is that of the rows as given.
     """
-    free, pivots, m, den = _fraction_free_nullspace(work, width, pivots, den)
+    found, den, _ = _gauss_jordan(work, range(width - 1, -1, -1), True, den)
+    rows = sorted(range(len(found)), key=found.__getitem__)
+    taken = set(found)
+    free = [c for c in range(width) if c not in taken]
+    sign = -1 if den > 0 else 1
+    m = [[sign * work[i][t] for i in rows] for t in range(len(free))]
+    den = abs(den)
+    lifts = [(found[i], column) for i, column in zip(rows, zip(*m))]
     vectors = []
     for y in kernel_mod(m, den):
         x = [0] * width
         for f, t in zip(free, y):
             x[f] = t
-        for j, c in enumerate(pivots):
-            q, rem = divmod(sum(t * mi[j] for t, mi in zip(y, m)), den)
+        for c, column in lifts:
+            q, rem = divmod(sum(map(mul, y, column)), den)
             if rem:
                 raise ArithmeticError("kernel vector does not lift to an integer vector")
             x[c] = q

@@ -8,8 +8,8 @@ basis, and a rational solve by Fraction Gauss-Jordan. The idele class group
 is checked against a second route: the subgroup of H1(M - L) generated by
 the peripheral table, a kernel of width 2l + s, where the library works in
 H1(M)'s s coordinates. The principal lattice is checked against the whole
-kernel of [peripheral | relations], where the library resumes the
-elimination after Lambda's block.
+kernel of [peripheral | relations], where the library eliminates the knot
+rows alone and cuts their graph to the principal divisors Y.
 """
 
 from fractions import Fraction

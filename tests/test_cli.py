@@ -133,8 +133,8 @@ def test_kummer(capsys, hopf_path):
 def test_each_stage_command_eliminates_lambda_once_and_takes_no_smith_form(capsys, tmp_path, monkeypatch):
     """Every command loads the manifold afresh, and its one elimination of Lambda is the load's LU.
 
-    An elimination of Lambda is a ``_gauss_jordan`` call that starts from no
-    pivot and whose first s columns, on its first s rows, are Lambda's: the
+    An elimination of Lambda is a ``_gauss_jordan`` call that starts from
+    den = 1 and whose first s columns, on its first s rows, are Lambda's: the
     LU, a ``FractionFreeLU`` of a stage's relations, or a kernel whose relation columns
     come first, as the whole kernel of [peripheral | relations] does.
     """
@@ -151,12 +151,12 @@ def test_each_stage_command_eliminates_lambda_once_and_takes_no_smith_form(capsy
     kernel_widths = []
     real_elimination, real_kernel = linalg._gauss_jordan, linalg.integer_kernel
 
-    def elimination(work, order, reduced, pivots=(), den=1, steps=None):
+    def elimination(work, order, reduced, den=1, steps=None):
         order = list(order)
-        if not pivots and len(work) >= s and len(order) >= s:
+        if den == 1 and len(work) >= s and len(order) >= s:
             block = sorted([[work[i][c] for i in range(s)] for c in order[:s]])
             eliminations.append(block == lam_columns)
-        return real_elimination(work, order, reduced, pivots, den, steps)
+        return real_elimination(work, order, reduced, den, steps)
 
     def kernel(a):
         kernel_widths.append(a.cols)
@@ -181,7 +181,7 @@ def test_each_stage_command_eliminates_lambda_once_and_takes_no_smith_form(capsy
     assert lambda_eliminations("longitude", k1)[0] == 1
     assert lambda_eliminations("is-principal", "--a", json.dumps(out["idele"]))[0] == 1
     assert lambda_eliminations("kummer", "--divisor", divisor, "--n", "3")[0] == 1
-    assert lambda_eliminations("principal-basis")[0] == 1  # its kernel starts after Lambda's block
+    assert lambda_eliminations("principal-basis")[0] == 1  # its kernel takes the knot rows alone, over |det Lambda|
     kernel_widths.clear()
     assert lambda_eliminations("class-group")[0] == 1  # the cokernel needs only |det Lambda|
     assert 2 * l + s not in kernel_widths  # class-group takes no kernel of the peripheral table

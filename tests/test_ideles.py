@@ -17,11 +17,12 @@ from idelink.ideles import (
     principal_lattice_basis,
     rho_tilde,
 )
+from idelink import linalg
 from idelink.linalg import IntMatrix, smith_normal_form
 from idelink.local import PeripheralClass, complement_homology
 from idelink.presentation import load_and_validate
 
-from conftest import load_manifold, random_manifold
+from conftest import generator_manifold, load_manifold, random_manifold
 from oracles import fraction_solve, hermite_row_basis, peripheral_class_group, peripheral_matrix, principal_lattice
 
 
@@ -313,9 +314,12 @@ def test_principal_lattice_and_class_group_match_the_graph_over_y():
 
 
 def test_principal_lattice_basis_matches_the_whole_kernel_of_the_peripheral_table():
-    """The kernel resumed after Lambda's block against the kernel of [peripheral | relations]."""
+    """The graph over Y, cut from the knot rows' kernel, against the kernel of [peripheral | relations].
+
+    The cut to Y runs exactly on the stages whose class group has torsion.
+    """
     rng = random.Random(1818)
-    stages = empty_surgery = sublinks = negative = 0
+    stages = empty_surgery = sublinks = negative = torsion = 0
     for _ in range(1100):
         man = random_manifold(rng, 6, 5, rng.choice((1, 3, 7)))
         knots = list(man.knot_names)
@@ -326,7 +330,39 @@ def test_principal_lattice_basis_matches_the_whole_kernel_of_the_peripheral_tabl
         empty_surgery += not man.surgery_names
         sublinks += len(comp.link) < len(knots)
         negative += man.h1.block_lu.minor < 0
-    assert stages >= 1000 and empty_surgery > 50 and sublinks > 300 and negative > 200, (empty_surgery, sublinks, negative)
+        torsion += any(idele_class_group(comp).class_invariants)
+    counts = (empty_surgery, sublinks, negative, torsion)
+    assert stages >= 1000 and empty_surgery > 50 and sublinks > 300 and negative > 200 and torsion > 40, counts
+
+
+def test_principal_lattice_basis_eliminates_the_knot_rows_alone_over_det_lambda(monkeypatch):
+    """Growth and shape guard on the generator's s = r = 48 instance: one elimination of the
+    48 knot rows, from den = |det Lambda|, whose entries stay within 299 bits.
+
+    Carrying Lambda's rows doubles the rows; starting from den = 1 gives the same lattice
+    but entries of about 8670 bits.
+    """
+    man = generator_manifold(48, 48, 48)
+    comp = complement_homology(man)
+    calls = []
+    real = linalg._gauss_jordan
+
+    def elimination(work, order, reduced, den=1, steps=None):
+        rows, before = len(work), max_bits(work)
+        out = real(work, order, reduced, den, steps)
+        calls.append((rows, den, max(before, max_bits(work), abs(out[1]).bit_length())))
+        return out
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", elimination)
+    basis = principal_lattice_basis(comp)
+    assert len(basis) == 48
+    assert [rows for rows, _, _ in calls] == [48], calls
+    assert all(den != 1 for _, den, _ in calls)
+    assert max(bits for _, _, bits in calls) <= 299, calls
+
+
+def max_bits(rows) -> int:
+    return max((abs(x).bit_length() for row in rows for x in row), default=0)
 
 
 def test_support_validation(hopf):
