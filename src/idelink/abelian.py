@@ -3,8 +3,8 @@
 A group is Z^g modulo the column span of a relation matrix. Elements are
 coordinate vectors. One type serves H1 of a manifold or of a link
 complement and a cover's target, diag(n_1, ..., n_t); ``quotient``
-appends generators to the relations, so index and surjectivity questions
-become the order and triviality of a quotient.
+appends generators to relations spanning the parent's relation lattice, so
+index and surjectivity questions become the order and triviality of a quotient.
 
 When the leading square block of the relations is nonsingular (H1 of a
 rational homology sphere, every link complement, whose leading block is
@@ -35,9 +35,9 @@ When the leading block's LU has full rank, or the presentation is square,
 the rank and minor are that LU's, so one elimination gives the order, every
 element test and the modulus of the invariant factors. A group whose
 relations lead with ones already eliminated inherits that work: a finite
-group's ``quotient`` its rank and minor, and a link complement
-(``local.ComplementHomology``, a subclass whose relations lead with Lambda)
-H1(M)'s ``block_lu``, so a stage never eliminates Lambda a second time.
+group's ``quotient``, led by its cached Hermite basis, its order as minor;
+a link complement (``local.ComplementHomology``, a subclass whose relations
+lead with Lambda) H1(M)'s ``block_lu``: neither eliminates Lambda again.
 All is computed on first use and cached, so a group built only to carry
 its relations (as most complements are) pays for nothing.
 """
@@ -157,13 +157,18 @@ class FgAbelianGroup:
         return self.element((0,) * self.generator_count)
 
     def quotient(self, generators) -> "FgAbelianGroup":
-        """This group modulo the subgroup generated by the given coordinate vectors."""
-        columns = [self.element(v).coords for v in generators]
-        gens = IntMatrix.from_columns(columns, rows=self.generator_count)
-        group = FgAbelianGroup(self.generator_count, hstack(self.relations, gens))
-        if self.modulus is not None:
-            # this group's relations lead, so its full-rank minor is one of the quotient's
-            group._rank_and_minor = (self.generator_count, self.modulus)
+        """This group modulo the subgroup generated by the given coordinate vectors.
+
+        A finite group appends them to its cached ``hermite_basis`` W, whose
+        det (the order) is a full-rank minor of the quotient. An infinite
+        group's basis holds D * Z^g, so it appends them to its relations.
+        """
+        g = self.generator_count
+        gens = IntMatrix.from_columns([self.element(v).coords for v in generators], rows=g)
+        if self.modulus is None:
+            return FgAbelianGroup(g, hstack(self.relations, gens))
+        group = FgAbelianGroup(g, hstack(IntMatrix.from_columns(self.hermite_basis, rows=g), gens))
+        group._rank_and_minor = (g, self.order())
         return group
 
     def __eq__(self, other) -> bool:

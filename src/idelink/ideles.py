@@ -14,14 +14,14 @@ is Z^l + (G cap G^perp): G is the subgroup of H1(M) generated by the knot
 classes of L, and perp is taken for the linking form (u, v) -> u Lambda^-1 v
 mod 1. So the class group is computed in H1(M)'s s coordinates, from the
 Hermite basis W of G~ = span(ell_K) + Lambda Z^s that the cokernel H1(M)/G
-also reads; the stage keeps that cokernel, so W is eliminated once per
-stage. Every torsion step runs modulo c = |H1(M)/G|, the product of W's
-pivots. On an admissible stage G is all of H1(M), so c = 1 and the torsion
-is trivial with no elimination. The principal ideles are the graph
-{(A y, y) : y in Y} over the principal divisors Y, with A the rational
-linking matrix A_ab = ell_a . t_b / |det Lambda| - lk(K_a, K_b);
-``principal_lattice_basis`` eliminates the l knot rows that define it, over
-|det Lambda|, and never eliminates Lambda.
+also reads. The stage keeps that cokernel, which folds the knot classes
+into H1(M)'s cached Hermite basis: W is reduced once per stage, Lambda never.
+Every torsion step runs modulo c = |H1(M)/G|, the product of W's pivots. On
+an admissible stage c = 1 and the torsion is trivial with no elimination.
+The principal ideles are the graph {(A y, y) : y in Y} over the principal
+divisors Y, with A the rational linking matrix A_ab = ell_a . t_b /
+|det Lambda| - lk(K_a, K_b); ``principal_lattice_basis`` eliminates the l
+knot rows that define it, over |det Lambda|, and never eliminates Lambda.
 
 The global pairing of two ideles is the sum over knots of the local
 intersection numbers; reciprocity (vanishing on principal pairs) is

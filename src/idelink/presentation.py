@@ -240,10 +240,10 @@ class Manifold:
     def knot_quotient(self, link) -> FgAbelianGroup:
         """H1(M) modulo the subgroup G that a sublink's knot classes generate.
 
-        Its cached ``hermite_basis`` W is the Hermite basis of
-        span(ell_K) + Lambda Z^s, the lattice whose quotient by Lambda Z^s is G.
-        ``generates_h1`` and a stage's ``cokernel`` read it; the certificate
-        reads G off the principal divisors instead.
+        Its cached ``hermite_basis`` W is the Hermite basis of span(ell_K) +
+        Lambda Z^s, the lattice whose quotient by Lambda Z^s is G, reduced from
+        H1's cached Hermite basis plus the knot rows. ``generates_h1`` and a
+        stage's ``cokernel`` read it; the certificate reads G off Y instead.
         """
         return self.h1.quotient(self.knot_class(k).coords for k in self.sublink(link))
 

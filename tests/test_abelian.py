@@ -286,8 +286,8 @@ def test_invariant_factors_modulo_the_determinant_match_the_full_smith_form():
         seen[name] += 1
         vectors = [[rng.randint(-bound, bound) for _ in range(gens)] for _ in range(rng.randint(0, 4))]
         q = g.quotient(vectors)
-        if finite:  # the quotient inherits the parent's minor, its own first full-rank minor
-            assert q.modulus == g.modulus == FgAbelianGroup(gens, q.relations).modulus
+        if finite:  # the quotient's minor is the parent's order, its own first full-rank minor
+            assert q.modulus == g.order() == FgAbelianGroup(gens, q.relations).modulus
         assert q.invariant_factors == factors_via_smith(q), (name, q.relations)
     assert min(seen.values()) > 100, seen
 

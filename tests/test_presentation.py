@@ -438,6 +438,26 @@ def test_generates_h1_matches_certificate():
     assert min(outcomes.values()) >= 200, outcomes
 
 
+def test_knot_quotient_folds_the_knot_classes_into_the_cached_hermite_basis(monkeypatch):
+    """H1(M)/G appends the knot classes to H1's Hermite basis W, not to Lambda's dense columns."""
+    from idelink import abelian
+
+    man = generator_manifold(48, 48, 48)
+    h1_basis = man.h1.hermite_basis
+    calls = []
+    real = abelian.hermite_basis_mod
+
+    def spy(rows, width, d):
+        calls.append([list(r) for r in rows])
+        return real(rows, width, d)
+
+    monkeypatch.setattr(abelian, "hermite_basis_mod", spy)
+    assert man.generates_h1(man.knot_names)
+    s, l = man.h1.generator_count, len(man.knot_names)
+    assert len(calls) == 1 and len(calls[0]) == s + l
+    assert calls[0][:s] == h1_basis
+
+
 def test_handle_slide_preserves_invariants():
     base = load_manifold(
         {
