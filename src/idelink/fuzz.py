@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass
-from math import gcd, prod
+from math import prod
 
 from .abelian import element_order
 from .covers import decomposition_data, global_symbol, kummer_cover, local_symbol, make_cover
@@ -34,7 +34,7 @@ from .ideles import (
     is_principal,
     principal_lattice_basis,
 )
-from .linalg import IntMatrix, determinant, smith_normal_form
+from .linalg import IntMatrix, determinant, kernel_mod
 from .local import PeripheralClass, complement_homology, local_intersection, preferred_longitude, valuation
 from .presentation import Manifold, SurgeryPresentation, load_and_validate, presentation_to_dict
 
@@ -179,28 +179,19 @@ def _random_divisor(link, rng: random.Random, bound: int) -> Divisor:
 
 
 def _sample_cover(comp, rng: random.Random):
-    """Random finite abelian target with a uniformly sampled well-defined cover."""
+    """Random finite abelian target with a uniformly sampled well-defined cover.
+
+    A Z/n factor of the cover is a y with sum_i y_i rel_i = 0 mod n over the
+    relation rows, and ``kernel_mod`` gives the Hermite basis B of those y.
+    That lattice holds n * Z^g and B is triangular, so sum_j c_j B_j with
+    0 <= c_j < n / B_jj hits each y mod n exactly once: uniform c_j give a
+    uniform cover. The c_j are drawn generator-major, factor-minor.
+    """
     orders = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 2)))
-    snf = smith_normal_form(comp.relations)
+    bases = [kernel_mod(comp.relations.to_rows(), n) for n in orders]
     g = comp.generator_count
-    diag = snf.diagonal
-    images = []
-    for i in range(g):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            images.append(tuple(rng.randrange(n) for n in orders))
-        else:
-            images.append(tuple(rng.randrange(gcd(d, n)) * (n // gcd(d, n)) for n in orders))
-    u = snf.u
-    values = []
-    for j in range(g):
-        acc = [0] * len(orders)
-        for i in range(g):
-            uij = u[i, j]
-            if uij:
-                for p in range(len(orders)):
-                    acc[p] += uij * images[i][p]
-        values.append(acc)
+    coeffs = [[rng.randrange(n // b[j][j]) for n, b in zip(orders, bases)] for j in range(g)]
+    values = [[sum(c[p] * b[j][i] for j, c in enumerate(coeffs)) for p, b in enumerate(bases)] for i in range(g)]
     return make_cover(comp, orders, values)
 
 

@@ -26,8 +26,8 @@ No kernel takes the Smith form, whose transforms suffer coefficient growth.
 ``kernel_mod`` is the one construction of the vectors vanishing mod d,
 {y : sum_i y_i v_i = 0 mod d}: the tail of one Hermite basis modulo d
 (Domich-Kannan-Trotter). The lift in ``kernel_basis``, the class group's
-torsion lattice, the principal divisors Y and the principal ideles' cut to
-Y all read it.
+torsion lattice, the principal divisors Y, the principal ideles' cut to
+Y and the fuzz harness's Z/n covers all read it.
 
 Every lattice question "which x satisfy a @ x in colspan(b)?" (principal
 ideles, subgroups generated by classes, solutions modulo a subgroup) goes
@@ -45,10 +45,9 @@ its passes on rows and columns until the basis is diagonal
 (Kannan-Bachem). A caller that keeps the Hermite basis passes its columns,
 so the first pass is already a column pass; ``hermite_coordinates`` writes
 a lattice vector in that basis by back-substitution. ``smith_normal_form``
-remains for the two readers of its transforms: the admissibility
-certificate, on the principal divisors, and ``fuzz._sample_cover``. It
-pivots on the least entry and divides with the nearest remainder, so the
-diagonal needs no repair.
+remains for the one reader of its transforms: the admissibility
+certificate, on the principal divisors. It pivots on the least entry and
+divides with the nearest remainder, so the diagonal needs no repair.
 """
 
 from __future__ import annotations

@@ -42,7 +42,8 @@ def record_smith_forms(monkeypatch) -> list:
         return real(a)
 
     for module in (linalg, presentation, fuzz):
-        monkeypatch.setattr(module, "smith_normal_form", recording)
+        if hasattr(module, "smith_normal_form"):
+            monkeypatch.setattr(module, "smith_normal_form", recording)
     return inputs
 
 
@@ -77,12 +78,35 @@ def load_manifold(data) -> Manifold:
     return load_and_validate(presentation_from_dict(data))
 
 
-def generator_manifold(seed: int, s: int, r: int) -> Manifold:
-    """The benchmark generator's (``perfbench/gen.py``) admissible instance for a seed."""
+def generator_instance(seed: int, s: int, r: int) -> dict:
+    """The benchmark generator's (``perfbench/gen.py``) admissible instance for a seed, as a dict."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", GENERATOR)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    return load_manifold(gen.sample_instance(seed, s, r, need_admissible=True).to_dict())
+    return gen.sample_instance(seed, s, r, need_admissible=True).to_dict()
+
+
+def generator_manifold(seed: int, s: int, r: int) -> Manifold:
+    """The benchmark generator's admissible instance for a seed, loaded."""
+    return load_manifold(generator_instance(seed, s, r))
+
+
+def torsion_instance(s: int) -> dict:
+    """The generator's s = r instance for seed s, plus a surgery unknot T of framing 4 and a knot KT.
+
+    lk(KT, T) = 2 and every other new linking number is 0, so on the whole
+    link the class group is Z/2 + Z^(s + 1) and the cokernel H1(M)/G is Z/2:
+    the principal basis takes its torsion cut to Y. The CI torsion smoke
+    pins the s = 48 outputs.
+    """
+    data = generator_instance(s, s, s)
+    surgery, link = data["surgery"], data["link"]
+    surgery["components"].append("T")
+    surgery["matrix"] = [row + [0] for row in surgery["matrix"]] + [[0] * s + [4]]
+    link["components"].append("KT")
+    link["lk_with_surgery"] = [row + [0] for row in link["lk_with_surgery"]] + [[0] * s + [2]]
+    link["lk_mutual"] = [row + [0] for row in link["lk_mutual"]] + [[0] * (s + 1)]
+    return data
 
 
 def random_manifold(rng, max_surgery, max_link, bound):

@@ -1,15 +1,21 @@
 """The randomized harness itself: determinism, self-test, shrinking, accounting."""
 
+import itertools
 import json
+from math import gcd, prod
 
 import pytest
 
 from idelink.cli import run_command
 from idelink.errors import BadInput, TooLarge, UnknownKnot
-from idelink.fuzz import PROPERTY_NAMES, FuzzConfig, check_trial, fuzz_suite
+from idelink.fuzz import PROPERTY_NAMES, FuzzConfig, _sample_cover, _sample_presentation, check_trial, fuzz_suite
+from idelink import linalg
+from idelink.local import complement_homology
 from idelink.presentation import load_and_validate, presentation_from_dict
 
 import random
+
+from conftest import record_smith_forms
 
 
 def test_config_validation():
@@ -231,3 +237,81 @@ def test_shrink_candidates_drop_one_component_or_move_one_entry_with_its_mirror(
         assert abs(new) < abs(old) and new * old >= 0
         moves.append(c)
     assert len(drops) == 4 and len(moves) == 14
+
+
+def test_fuzz_trials_take_no_smith_form(monkeypatch):
+    """Fuzz covers come from the congruence kernel: fifty default trials take no Smith form."""
+    inputs = record_smith_forms(monkeypatch)
+    fuzz_suite(FuzzConfig(trials=50, seed=0))
+    assert inputs == []
+
+
+class _ScriptedDraws:
+    """Stands in for the RNG of ``_sample_cover``: one cyclic factor Z/n, then the given coefficients.
+
+    ``ranges`` records the bound of every coefficient drawn; a coefficient past
+    the script is 0.
+    """
+
+    def __init__(self, n: int, coefficients=()):
+        self._ints = [1, n]  # one factor, of order n
+        self._coefficients = list(coefficients)
+        self.ranges = []
+
+    def randint(self, a: int, b: int) -> int:
+        return self._ints.pop(0)
+
+    def randrange(self, bound: int) -> int:
+        self.ranges.append(bound)
+        return self._coefficients.pop(0) if self._coefficients else 0
+
+
+def test_sampled_covers_are_each_homomorphism_to_z_n_once(monkeypatch):
+    """The sampler's lattice is Hom(H1(M - L), Z/n), on seeded stages at fuzz sizes.
+
+    For each n in 1..6 the coefficient bounds n / B_jj of ``_sample_cover``
+    multiply to |Hom(H1(M - L), Z/n)| = prod_i gcd(d_i, n) * n^(g - s), d the
+    Smith diagonal of the relations; where that count is at most 216, the
+    coefficient vectors give that many distinct covers, each one well
+    defined (``make_cover`` accepts it). Every stage is taken on the whole
+    link and on one proper sublink, the empty one among them.
+    """
+    from idelink import fuzz
+
+    # each enumerated cover draws the same lattices again; compute each one once
+    lattices = {}
+
+    def kernel_mod(rows, n):
+        key = (tuple(map(tuple, rows)), n)
+        if key not in lattices:
+            lattices[key] = linalg.kernel_mod(rows, n)
+        return [list(row) for row in lattices[key]]
+
+    monkeypatch.setattr(fuzz, "kernel_mod", kernel_mod)
+    rng = random.Random(2828)
+    cfg = FuzzConfig(trials=1, seed=0)
+    stages = empty = enumerated = bitten = 0
+    for _ in range(300):
+        man = load_and_validate(_sample_presentation(rng, cfg))
+        knots = man.knot_names
+        for link in (knots, man.sublink(rng.sample(knots, rng.randint(0, len(knots) - 1)))):
+            comp = complement_homology(man, link)
+            g, s = comp.generator_count, comp.relations.cols
+            diagonal = linalg.smith_normal_form(comp.relations).diagonal
+            stages += 1
+            empty += not link
+            for n in range(1, 7):
+                probe = _ScriptedDraws(n)
+                _sample_cover(comp, probe)
+                count = prod(gcd(d, n) for d in diagonal) * n ** (g - s)
+                assert prod(probe.ranges) == count, (man.presentation, link, n, probe.ranges)
+                bitten += count < n**g
+                if count <= 216:
+                    covers = {
+                        _sample_cover(comp, _ScriptedDraws(n, c)).values
+                        for c in itertools.product(*map(range, probe.ranges))
+                    }
+                    assert len(covers) == count, (man.presentation, link, n)
+                    enumerated += count
+    counts = (stages, empty, enumerated, bitten)
+    assert stages == 600 and empty >= 100 and enumerated >= 20_000 and bitten >= 500, counts

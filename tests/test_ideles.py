@@ -22,7 +22,7 @@ from idelink.linalg import IntMatrix, smith_normal_form
 from idelink.local import PeripheralClass, complement_homology
 from idelink.presentation import load_and_validate
 
-from conftest import generator_manifold, load_manifold, random_manifold
+from conftest import generator_manifold, load_manifold, random_manifold, torsion_instance
 from oracles import fraction_solve, hermite_row_basis, peripheral_class_group, peripheral_matrix, principal_lattice
 
 
@@ -359,6 +359,31 @@ def test_principal_lattice_basis_eliminates_the_knot_rows_alone_over_det_lambda(
     assert [rows for rows, _, _ in calls] == [48], calls
     assert all(den != 1 for _, den, _ in calls)
     assert max(bits for _, _, bits in calls) <= 299, calls
+
+
+def test_principal_lattice_basis_cuts_to_y_on_a_torsion_stage_at_s_20(monkeypatch):
+    """The torsion cut at scale: the generator's s = r = 20 instance plus a surgery unknot of
+    framing 4 and a knot linking it twice (class group Z/2 + Z^21, cokernel Z/2).
+
+    The basis equals the whole kernel of [peripheral | relations], and the cut
+    to Y runs: one ``kernel_mod`` modulo |det Lambda|.
+    """
+    from idelink import ideles
+
+    man = load_manifold(torsion_instance(20))
+    comp = complement_homology(man)
+    data = idele_class_group(comp)
+    assert data.class_invariants == (2,) + (0,) * 21 and data.coker_invariants == (2,)
+    moduli = []
+    real = ideles.kernel_mod
+
+    def spy(vectors, d):
+        moduli.append(d)
+        return real(vectors, d)
+
+    monkeypatch.setattr(ideles, "kernel_mod", spy)
+    assert principal_lattice_basis(comp) == principal_lattice(comp)
+    assert moduli == [man.h1.modulus], moduli
 
 
 def max_bits(rows) -> int:

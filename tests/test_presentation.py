@@ -330,7 +330,8 @@ def test_certificate_transforms_stay_within_the_order_of_h1(monkeypatch):
         return forms[-1]
 
     for module in (linalg, presentation, fuzz):
-        monkeypatch.setattr(module, "smith_normal_form", recording)
+        if hasattr(module, "smith_normal_form"):
+            monkeypatch.setattr(module, "smith_normal_form", recording)
     assert man.is_admissible()
     bound = man.h1.modulus.bit_length()
     assert forms
