@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache
 
@@ -84,6 +85,17 @@ def _cover(man, args):
     return CoverSpec.from_dict(man, _parse_json(args.phi, "--phi"))
 
 
+def _decimal(text: str) -> int:
+    """An integer flag value: [+-]?[0-9]+ after strip(), else ValueError.
+
+    int() alone also reads "1_0" and non-ASCII digits such as Arabic-Indic ones.
+    """
+    digits = text.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+", digits):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(digits)
+
+
 def _parse_divisor(text: str):
     from .ideles import Divisor
 
@@ -97,7 +109,7 @@ def _parse_divisor(text: str):
         if not sep or not name:
             raise BadInput(f"divisor term {item!r} must look like KNOT=coefficient")
         try:
-            c = int(value.strip())
+            c = _decimal(value)
         except ValueError as exc:
             raise BadInput(f"divisor coefficient in {item!r} must be an integer") from exc
         parts[name] = parts.get(name, 0) + c
@@ -299,21 +311,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _add_common(sub, "kummer", _cmd_kummer, "cyclic Kummer cover of a principal divisor", link_flag=True)
     p.add_argument("--divisor", required=True, help='e.g. "K1=1"')
-    p.add_argument("--n", required=True, type=int, help="modulus, at least 2")
+    p.add_argument("--n", required=True, type=_decimal, help="modulus, at least 2")
 
     p = _add_common(sub, "hilbert", _cmd_hilbert, "local Hilbert symbol of two ideles at a knot", link_flag=True)
     p.add_argument("knot")
     p.add_argument("--a", required=True, help="inline JSON idele")
     p.add_argument("--b", required=True, help="inline JSON idele")
-    p.add_argument("--n", required=True, type=int, help="modulus, at least 2")
+    p.add_argument("--n", required=True, type=_decimal, help="modulus, at least 2")
 
     p = sub.add_parser("fuzz", help="randomized property harness with shrinking")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-surgery", type=int, default=4)
-    p.add_argument("--max-link", type=int, default=5)
-    p.add_argument("--entry-bound", type=int, default=5)
-    p.add_argument("--coeff-bound", type=int, default=9)
+    p.add_argument("--trials", type=_decimal, default=100)
+    p.add_argument("--seed", type=_decimal, default=0)
+    p.add_argument("--max-surgery", type=_decimal, default=4)
+    p.add_argument("--max-link", type=_decimal, default=5)
+    p.add_argument("--entry-bound", type=_decimal, default=5)
+    p.add_argument("--coeff-bound", type=_decimal, default=9)
     p.add_argument("--corrupt", choices=["pairing"], default=None, help="self-test: break an oracle on purpose")
     p.set_defaults(handler=_cmd_fuzz)
 

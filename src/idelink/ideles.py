@@ -204,8 +204,8 @@ def delta_solution(comp: ComplementHomology, divisor: Divisor) -> tuple[list[int
     longitude (``comp.longitude_coords``), t solves
     surgery_matrix @ t = sum_K d_K ell_K. Each knot's cached solve
     (``Manifold.knot_solution``) has Lambda t_K = den * ell_K with
-    den = |det Lambda| from H1(M)'s LU of Lambda, so t = sum_K d_K t_K / den
-    and no solve is repeated. The meridian coefficient at K is K's whole
+    den = |det Lambda| = ``h1.modulus``, so t = sum_K d_K t_K / den and no
+    solve is repeated. The meridian coefficient at K is K's whole
     reference longitude read against (t, -d):
     ell_K . t - sum_{K' != K} lk(K, K') d_{K'}. Raises
     DivisorNotPrincipal when the divisor class is nonzero in H1(M), that is
@@ -213,7 +213,7 @@ def delta_solution(comp: ComplementHomology, divisor: Divisor) -> tuple[list[int
     """
     require_support(comp.link, divisor.support)
     man = comp.manifold
-    den = abs(man.h1.block_lu.minor)
+    den = man.h1.modulus
     scaled = [0] * len(man.surgery_names)
     for k, c in divisor.parts:
         scaled = [x + c * y for x, y in zip(scaled, man.knot_solution(k).t)]

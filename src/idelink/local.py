@@ -31,9 +31,9 @@ H1(boundary torus) -> H1(M - K), sign-normalized to positive longitude
 coefficient; its longitude coefficient equals the order of [K] in H1(M).
 It has a closed form on the manifold's fraction-free LU of the surgery
 matrix Lambda: with ell_K the row of linking numbers of K with the surgery
-link, den = |det Lambda| and t the integer solution of Lambda t = den ell_K^T,
+link, D = |det Lambda| = ``h1.modulus`` and t solving Lambda t = D ell_K^T,
 
-    o_K = den / gcd(den, t),    lambda_K = (o_K * ell_K . t / den, o_K),
+    o_K = D / gcd(D, t),    lambda_K = (o_K * ell_K . t / D, o_K),
 
 that is o_K times the rational kernel class (ell_K Lambda^-1 ell_K^T, 1),
 o_K being the least multiple that makes it integral. t and o_K are the
@@ -202,7 +202,7 @@ def preferred_longitude(manifold: Manifold, knot: str) -> LongitudeData:
     solved = manifold.knot_solution(knot)
     ell = manifold.presentation.lk_with_surgery.row(manifold.knot_index(knot))
     y = solved.order
-    x, rem = divmod(y * sum(a * b for a, b in zip(ell, solved.t)), solved.den)
+    x, rem = divmod(y * sum(a * b for a, b in zip(ell, solved.t)), manifold.h1.modulus)
     if rem:
         raise ArithmeticError(f"meridian coefficient of the longitude of {knot!r} is not an integer")
     return LongitudeData(lambda_class=PeripheralClass(knot, x, y), index=y, is_basis=(y == 1))

@@ -14,16 +14,16 @@ Conventions fixed here and used by every downstream module:
 * The surgery-corrected linking number of disjoint knots J, K is
   lk(J, K) - ell_J Lambda^{-1} ell_K^T, an exact rational number.
 
-Lambda is eliminated once per manifold: ``load_and_validate`` reads
-|det Lambda| off the fraction-free LU that ``h1.block_lu`` keeps, and every
-later solve replays it. Per-knot data is computed once.
-``Manifold.knot_solution`` solves Lambda t = den * ell_K^T on that LU,
-den = |det Lambda|, and keeps t_K with the order den / gcd(den, t_K) of [K]
-per knot name. ``knot_order``, the principal divisors Y that the
-admissibility certificate reads, the preferred longitude (``local``), the
-divisor map and the principal lattice (``ideles``) all read it, so a knot
-costs one solve per manifold. An unknown name raises on every call;
-nothing is cached for it.
+Lambda is eliminated once per manifold: ``load_and_validate`` takes the
+fraction-free LU that ``h1.block_lu`` keeps, and every later solve replays
+it. |det Lambda| has one spelling, ``h1.modulus``, which every reader
+takes. Per-knot data is computed once. ``Manifold.knot_solution`` solves
+Lambda t = D * ell_K^T on that LU, D = ``h1.modulus``, and keeps t_K with
+the order D / gcd(D, t_K) of [K] per knot name. ``knot_order``, the
+principal divisors Y that the admissibility certificate reads, the
+preferred longitude (``local``), the divisor map and the principal lattice
+(``ideles``) all read it, so a knot costs one solve per manifold. An
+unknown name raises on every call; nothing is cached for it.
 """
 
 from __future__ import annotations
@@ -147,12 +147,12 @@ class AdmissibilityCertificate:
 class KnotSolution:
     """The solve of one knot against the manifold's LU of Lambda.
 
-    ``t`` solves Lambda t = den * ell_K^T with den = |det Lambda|, and
-    ``order`` is den / gcd(den, t), the order of the knot's class in H1(M).
+    ``t`` solves Lambda t = D * ell_K^T with D = |det Lambda| =
+    ``h1.modulus``, and ``order`` is D / gcd(D, t), the order of the knot's
+    class in H1(M).
     """
 
     t: tuple[int, ...]
-    den: int
     order: int
 
 
@@ -202,16 +202,16 @@ class Manifold:
     def knot_solution(self, name: str) -> KnotSolution:
         """t_K and the order of [K], computed on the first call for the knot and kept.
 
-        t_K is ``h1.block_lu.solve(ell_K)``, so Lambda t_K = den * ell_K^T with
-        den = |det Lambda|, and [K] = t_K / den in Lambda^-1 Z^s / Z^s. Raises
-        UnknownKnot on every call for an undeclared name.
+        t_K is ``h1.block_lu.solve(ell_K)``, so Lambda t_K = D * ell_K^T with
+        D = |det Lambda| = ``h1.modulus``, and [K] = t_K / D in
+        Lambda^-1 Z^s / Z^s. Raises UnknownKnot on every call for an
+        undeclared name.
         """
         solved = self._knot_solutions.get(name)
         if solved is None:
             ell = self.presentation.lk_with_surgery.row(self.knot_index(name))
-            lu = self.h1.block_lu
-            t, den = lu.solve(ell), abs(lu.minor)
-            solved = self._knot_solutions[name] = KnotSolution(t, den, den // gcd(den, *t))
+            t, d = self.h1.block_lu.solve(ell), self.h1.modulus
+            solved = self._knot_solutions[name] = KnotSolution(t, d // gcd(d, *t))
         return solved
 
     def knot_order(self, name: str) -> int:

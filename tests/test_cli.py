@@ -235,6 +235,29 @@ def test_error_paths(capsys, hopf_path, lens5_path):
     assert (code, out["error"]) == (2, "bad_input")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "{hopf}", "--divisor", "K1=1_0"],
+        ["delta", "{hopf}", "--divisor", "K1=\u0663"],
+        ["kummer", "{hopf}", "--divisor", "K1=1", "--n", "\u0663"],
+        ["fuzz", "--trials", "1_0"],
+    ],
+    ids=["divisor-underscore", "divisor-arabic-indic", "n-arabic-indic", "trials-underscore"],
+)
+def test_integer_flags_take_only_ascii_decimals(capsys, hopf_path, argv):
+    # int() would read "1_0" as 10 and the Arabic-Indic digit three as 3
+    code, out = run(capsys, *(a.format(hopf=hopf_path) for a in argv))
+    assert (code, out["error"]) == (2, "bad_input")
+
+
+def test_a_signed_or_padded_divisor_coefficient_is_still_read(capsys, hopf_path):
+    code, out = run(capsys, "delta", hopf_path, "--divisor", "K1=-3")
+    assert (code, out) == (0, {"idele": {"K1": [0, -3], "K2": [3, 0]}})
+    code, out = run(capsys, "delta", hopf_path, "--divisor", "K1= 4")
+    assert (code, out) == (0, {"idele": {"K1": [0, 4], "K2": [-4, 0]}})
+
+
 def presentation(matrix=((5,),), lk_with_surgery=((1,),), lk_mutual=((0,),), surgery=("L1",), knots=("K",)):
     """A lens space L(5, 1) presentation with the given fields replaced."""
     return {

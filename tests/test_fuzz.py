@@ -126,22 +126,20 @@ def test_check_trial_statuses_cover_every_property():
 
 
 def test_linking_symmetry_checks_the_order_against_the_smith_diagonal(monkeypatch):
-    # a doubled maximal minor, as the group reads it off the LU of Lambda,
-    # doubles |H1|; the product of the invariant factors modulo that minor
-    # still reads |H1|, while every solve keeps the LU's own |det Lambda|
+    # doubled invariant factors double the product of the Smith diagonal,
+    # while |H1| = |det Lambda| = h1.modulus, which every solve reads, stays
     from functools import cached_property
 
     from idelink.abelian import FgAbelianGroup
 
-    real = FgAbelianGroup._rank_and_minor.func
+    real = FgAbelianGroup.invariant_factors.func
 
     def doubled(group):
-        rank, minor = real(group)
-        return rank, 2 * minor
+        return tuple(2 * x for x in real(group))
 
     corrupted = cached_property(doubled)
-    corrupted.__set_name__(FgAbelianGroup, "_rank_and_minor")
-    monkeypatch.setattr(FgAbelianGroup, "_rank_and_minor", corrupted)
+    corrupted.__set_name__(FgAbelianGroup, "invariant_factors")
+    monkeypatch.setattr(FgAbelianGroup, "invariant_factors", corrupted)
     man = load_and_validate(
         presentation_from_dict(
             {
@@ -150,7 +148,7 @@ def test_linking_symmetry_checks_the_order_against_the_smith_diagonal(monkeypatc
             }
         )
     )
-    assert man.h1.order() == 10 and man.h1.invariant_factors == (5,)
+    assert man.h1.order() == 5 and man.h1.invariant_factors == (10,)
     results = check_trial(man, random.Random(0), FuzzConfig(trials=1, seed=0))
     assert {name: status for name, status, _ in results}["linking-symmetry"] == "fail"
 

@@ -517,7 +517,7 @@ def test_knot_solution_matches_the_generic_element_route():
             solved = man.knot_solution(k)
             ell = man.presentation.lk_with_surgery.row(man.knot_index(k))
             assert solved.t == tuple(den * x for x in fraction_solve(lam.to_rows(), ell))
-            assert solved.den == den
+            assert man.h1.modulus == den
             assert man.knot_order(k) == solved.order == element_order(man.knot_class(k))
             assert man.knot_solution(k) is solved
             knots += 1
@@ -543,11 +543,32 @@ def test_linking_number_has_the_closed_form_on_the_cached_solve():
                 solved = man.knot_solution(b)
                 ell_a = pres.lk_with_surgery.row(man.knot_index(a))
                 mutual = pres.lk_mutual[man.knot_index(a), man.knot_index(b)]
-                closed = Fraction(mutual * solved.den - sum(x * y for x, y in zip(ell_a, solved.t)), solved.den)
+                den = man.h1.modulus
+                closed = Fraction(mutual * den - sum(x * y for x, y in zip(ell_a, solved.t)), den)
                 assert man.linking_number(a, b) == closed
                 pairs += 1
                 fractional += closed.denominator > 1
     assert pairs > 1000 and fractional > 300, (pairs, fractional)
+
+
+def test_det_lambda_has_one_owner(lens5):
+    """Every per-knot reader takes |det Lambda| from ``h1.modulus``, not from the LU.
+
+    With the cached modulus of L(5, 1) replaced by 10 before any knot query,
+    the order, the longitude and the divisor map all see 10, while the LU's
+    own minor still reads 5.
+    """
+    from idelink.errors import DivisorNotPrincipal
+    from idelink.ideles import Divisor, delta_from_divisor
+    from idelink.local import complement_homology, preferred_longitude
+
+    lens5.h1.__dict__["modulus"] = 10
+    assert abs(lens5.h1.block_lu.minor) == 5
+    assert lens5.knot_order("K") == 10
+    ld = preferred_longitude(lens5, "K")
+    assert (ld.lambda_class.meridian, ld.lambda_class.longitude) == (1, 10)
+    with pytest.raises(DivisorNotPrincipal):
+        delta_from_divisor(complement_homology(lens5), Divisor.of({"K": 5}))
 
 
 def test_a_second_order_query_runs_no_linear_algebra(monkeypatch):
