@@ -69,21 +69,15 @@ __all__ = [
 
 
 class FgAbelianGroup:
-    """Z^generator_count modulo the columns of ``relations``.
+    """Z^generator_count modulo the columns of ``relations``, whose row count is generator_count.
 
     invariant_factors lists the nontrivial torsion factors in divisibility
     order followed by one 0 per free factor; unit factors are dropped. It,
     ``modulus`` and ``block_lu`` are computed lazily, once per group.
     """
 
-    def __init__(self, generator_count: int, relations: IntMatrix):
-        if generator_count.__class__ is not int:
-            json_int(generator_count, "generator count")
-        if relations.rows != generator_count:
-            raise BadDimensions(
-                f"relation matrix has {relations.rows} rows for {generator_count} generators"
-            )
-        self.generator_count = generator_count
+    def __init__(self, relations: IntMatrix):
+        self.generator_count = relations.rows
         self.relations = relations
 
     @cached_property
@@ -166,15 +160,15 @@ class FgAbelianGroup:
         g = self.generator_count
         gens = IntMatrix.from_columns([self.element(v).coords for v in generators], rows=g)
         if self.modulus is None:
-            return FgAbelianGroup(g, hstack(self.relations, gens))
-        group = FgAbelianGroup(g, hstack(IntMatrix.from_columns(self.hermite_basis, rows=g), gens))
+            return FgAbelianGroup(hstack(self.relations, gens))
+        group = FgAbelianGroup(hstack(IntMatrix.from_columns(self.hermite_basis, rows=g), gens))
         group._rank_and_minor = (g, self.order())
         return group
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FgAbelianGroup):
             return NotImplemented
-        return self.generator_count == other.generator_count and self.relations == other.relations
+        return self.relations == other.relations
 
     def __repr__(self) -> str:
         return f"FgAbelianGroup(generators={self.generator_count}, invariant_factors={self.invariant_factors})"
@@ -259,4 +253,4 @@ def subgroup_invariant_factors(group: FgAbelianGroup, vectors) -> tuple[int, ...
     k = len(vectors)
     gen_matrix = IntMatrix.from_columns(vectors, rows=group.generator_count)
     basis = preimage_lattice(gen_matrix, group.relations)
-    return FgAbelianGroup(k, IntMatrix.from_columns(basis, rows=k)).invariant_factors
+    return FgAbelianGroup(IntMatrix.from_columns(basis, rows=k)).invariant_factors

@@ -29,7 +29,7 @@ import re
 import sys
 from functools import cache
 
-from .errors import BadInput, IdelinkError, TooLarge
+from .errors import BadInput, IdelinkError, KnotOutsideLink, TooLarge
 from .presentation import Manifold, load_and_validate, presentation_from_dict
 
 __all__ = ["run_command", "main"]
@@ -157,7 +157,7 @@ def _cmd_class_group(comp, args):
 
     data = idele_class_group(comp)
     payload = {
-        "link": list(data.link),
+        "link": list(comp.link),
         "class_group": [str(f) for f in data.class_invariants],
         "cokernel": [str(f) for f in data.coker_invariants],
     }
@@ -213,7 +213,9 @@ def _cmd_symbol(man, args):
 def _cmd_decomp(man, args):
     from .covers import decomposition_data
 
-    dd = decomposition_data(_cover(man, args), args.knot)
+    cover = _cover(man, args)
+    man.knot_index(args.knot)  # an undeclared knot is unknown, not outside the branch link
+    dd = decomposition_data(cover, args.knot)
     payload = {
         "knot": args.knot,
         "ramification": dd.ramification_index,
@@ -237,7 +239,8 @@ def _cmd_hilbert(comp, args):
     a, b = _idele(args, "a"), _idele(args, "b")
     require_support(comp.link, a.support, b.support)
     if args.knot not in comp.link:
-        raise BadInput(f"knot {args.knot!r} is not in the sublink {list(comp.link)}")
+        comp.manifold.knot_index(args.knot)  # an undeclared knot is unknown, not outside the sublink
+        raise KnotOutsideLink(f"knot {args.knot!r} is not in the sublink {list(comp.link)}")
     return {"symbol": hilbert_symbol(a, b, args.knot, args.n)}, 0
 
 

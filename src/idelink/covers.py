@@ -76,7 +76,7 @@ class CoverSpec:
             raise BadInput("cyclic orders must be positive")
         t = len(self.orders)
         diagonal = [[n if i == j else 0 for j in range(t)] for i, n in enumerate(self.orders)]
-        self.target = FgAbelianGroup(t, IntMatrix.from_rows(diagonal))
+        self.target = FgAbelianGroup(IntMatrix.from_rows(diagonal))
         self.complement = complement
         self.values = tuple(self.reduce(v) for v in values)
         if len(self.values) != complement.generator_count:

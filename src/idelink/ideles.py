@@ -166,7 +166,6 @@ class Divisor:
 class ClassGroupData:
     """Invariant factors of the idele class lattice and of coker(rho) at a stage."""
 
-    link: tuple[str, ...]
     class_invariants: tuple[int, ...]
     coker_invariants: tuple[int, ...]
 
@@ -321,7 +320,6 @@ def idele_class_group(comp: ComplementHomology) -> ClassGroupData:
     coker = comp.cokernel
     torsion = _radical_invariants(comp.manifold.surgery_matrix, coker.hermite_basis)
     return ClassGroupData(
-        link=comp.link,
         class_invariants=torsion + (0,) * len(comp.link),
         coker_invariants=coker.invariant_factors,
     )

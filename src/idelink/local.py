@@ -146,7 +146,7 @@ class ComplementHomology(FgAbelianGroup):
         ell = [pres.lk_with_surgery.row(i) for i in knot_rows]
         # column j is relation j: sum_i Lambda(j,i) m_i + sum_a lk(K_a, L_j) mu_a = 0
         relations = IntMatrix(s + len(link), s, pres.surgery_matrix.entries + tuple(x for row in ell for x in row))
-        super().__init__(relations.rows, relations)
+        super().__init__(relations)
         self._mu_pos = {k: s + a for a, k in enumerate(link)}
         mutual = [pres.lk_mutual.row(i) for i in knot_rows]
         self._l0 = {k: row + tuple(m[b] for b in knot_rows) for k, row, m in zip(link, ell, mutual)}

@@ -131,16 +131,16 @@ class AdmissibilityCertificate:
 
     When admissible, ``expressions`` writes one generator of each nontrivial
     invariant factor of H1(M) as an integer combination of knot classes,
-    reduced against Y. Otherwise ``subgroup_factors`` gives the invariant
+    reduced against Y, and the certificate is truthy. Otherwise it is falsy,
+    ``expressions`` is None and ``subgroup_factors`` gives the invariant
     factors of the proper subgroup G = Z^l / Y the knot classes generate.
     """
 
-    admissible: bool
     expressions: tuple[dict, ...] | None
     subgroup_factors: tuple[int, ...] | None
 
     def __bool__(self) -> bool:
-        return self.admissible
+        return self.expressions is not None
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class Manifold:
         self.knot_names = presentation.knot_names
         self._knot_index = {k: i for i, k in enumerate(self.knot_names)}
         # relation j of H1(M) is row j of the surgery matrix, which is symmetric
-        self.h1 = FgAbelianGroup(len(self.surgery_names), presentation.surgery_matrix)
+        self.h1 = FgAbelianGroup(presentation.surgery_matrix)
         self._knot_solutions: dict[str, KnotSolution] = {}
 
     @property
@@ -277,7 +277,7 @@ class Manifold:
         order = prod(row[j] for j, row in enumerate(y))
         if order != self.h1.modulus:
             factors = smith_diagonal_mod(y, len(link), order)
-            return AdmissibilityCertificate(False, None, tuple(x for x in factors if x != 1))
+            return AdmissibilityCertificate(None, tuple(x for x in factors if x != 1))
         rel = IntMatrix.from_columns(y, rows=len(link))
         snf = smith_normal_form(rel)
         expressions = []
@@ -292,7 +292,7 @@ class Manifold:
                     if q:
                         gen = [x - q * v for x, v in zip(gen, row)]
                 expressions.append({k: c for k, c in zip(link, gen) if c})
-        return AdmissibilityCertificate(True, tuple(expressions), None)
+        return AdmissibilityCertificate(tuple(expressions), None)
 
 
 def load_and_validate(p: SurgeryPresentation) -> Manifold:

@@ -276,6 +276,11 @@ ERROR_CASES = {
     "decomp-outside-branch-link": (
         "knot_outside_link", HOPF, "decomp", ["K2", "--phi", phi(["K1"], [2], [[1]])],
     ),
+    "decomp-unknown-knot": ("unknown_knot", HOPF, "decomp", ["K9", "--phi", phi(["K1"], [2], [[1]])]),
+    "hilbert-unknown-knot": ("unknown_knot", HOPF, "hilbert", ["K9", "--a", "{}", "--b", "{}", "--n", "2"]),
+    "hilbert-outside-link": (
+        "knot_outside_link", HOPF, "hilbert", ["K2", "--link", "K1", "--a", "{}", "--b", "{}", "--n", "2"],
+    ),
     "kummer-non-admissible-sublink": (
         "not_admissible",
         presentation(lk_with_surgery=((1,), (0,)), lk_mutual=((0, 0), (0, 0)), knots=("J", "K")),

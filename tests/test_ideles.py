@@ -1,11 +1,13 @@
 """Ideles, the principal lattice, the divisor map, and global reciprocity."""
 
 import random
-from math import lcm
+from itertools import combinations
+from math import lcm, prod
 
 import pytest
 
 from idelink.errors import BadInput, DivisorNotPrincipal, SupportOutsideLink
+from idelink.fuzz import FuzzConfig, _sample_presentation
 from idelink.ideles import (
     Divisor,
     Idele,
@@ -18,7 +20,7 @@ from idelink.ideles import (
     rho_tilde,
 )
 from idelink import linalg
-from idelink.linalg import IntMatrix, smith_normal_form
+from idelink.linalg import IntMatrix, hermite_coordinates, kernel_mod, smith_diagonal_mod, smith_normal_form
 from idelink.local import PeripheralClass, complement_homology
 from idelink.presentation import load_and_validate
 
@@ -311,6 +313,44 @@ def test_principal_lattice_and_class_group_match_the_graph_over_y():
         non_admissible += not man.generates_h1(link)
     assert torsion > 10, torsion
     assert non_admissible > 50, non_admissible
+
+
+def torsion_from_y_plus(man, link) -> tuple[int, ...]:
+    """The class group's torsion as Y+/Y, in link coordinates modulo |det Lambda|.
+
+    Y+ = {y : A y integral} for the rational linking matrix A, whose entry
+    ell_a . t_b / D is all that matters mod 1 (D = |det Lambda|, Lambda t_b =
+    D ell_b), and Y is the principal divisors inside it. The torsion is Y's
+    rows, written in Y+'s basis, modulo [Y+ : Y]. ``idele_class_group``
+    works in H1(M)'s coordinates modulo |H1(M)/G| instead.
+    """
+    d = man.h1.modulus
+    ts = [man.knot_solution(b).t for b in link]
+    ells = [man.presentation.lk_with_surgery.row(man.knot_index(a)) for a in link]
+    y = man.principal_divisors(link)
+    y_plus = kernel_mod([[sum(x * v for x, v in zip(ell, t)) for ell in ells] for t in ts], d)
+    index = prod(row[i] for i, row in enumerate(y)) // prod(row[i] for i, row in enumerate(y_plus))
+    diagonal = smith_diagonal_mod([hermite_coordinates(y_plus, row) for row in y], len(link), index)
+    return tuple(x for x in diagonal if x != 1)
+
+
+def test_class_group_torsion_is_y_plus_over_y():
+    """Every sublink of the fuzz harness's presentations for seeds 0-99, then the Z/2 torsion stages at s = 20, 48."""
+    stages = torsion = 0
+    for seed in range(100):
+        man = load_and_validate(_sample_presentation(random.Random(seed), FuzzConfig(trials=0, seed=0)))
+        for n in range(1, len(man.knot_names) + 1):
+            for link in combinations(man.knot_names, n):
+                expected = torsion_from_y_plus(man, link)
+                got = idele_class_group(complement_homology(man, link)).class_invariants
+                assert got == expected + (0,) * n, (man.presentation, link)
+                stages += 1
+                torsion += expected != ()
+    assert stages >= 1000 and torsion >= 50, (stages, torsion)
+    for s in (20, 48):
+        man = load_manifold(torsion_instance(s))
+        assert torsion_from_y_plus(man, man.knot_names) == (2,)
+        assert idele_class_group(complement_homology(man)).class_invariants == (2,) + (0,) * len(man.knot_names)
 
 
 def test_principal_lattice_basis_matches_the_whole_kernel_of_the_peripheral_table():

@@ -803,7 +803,7 @@ def test_from_rows_refuses_non_integer_entries():
         with pytest.raises(BadInput):
             IntMatrix.from_columns(rows)
     with pytest.raises(BadInput):
-        FgAbelianGroup(1, IntMatrix.from_rows([[4.7]]))
+        FgAbelianGroup(IntMatrix.from_rows([[4.7]]))
     assert IntMatrix.from_rows([[5, -1], [7, 2]]).entries == (5, -1, 7, 2)
 
 
@@ -815,7 +815,7 @@ def test_constructor_refuses_non_integer_entries():
         with pytest.raises(BadInput, match=r"^matrix entry must be an integer, got "):
             IntMatrix.from_rows([[1, bad]])
     with pytest.raises(BadInput):
-        FgAbelianGroup(1, IntMatrix(1, 1, (4.7,))).invariant_factors
+        FgAbelianGroup(IntMatrix(1, 1, (4.7,))).invariant_factors
     assert IntMatrix(1, 2, (3, -(2**200))).entries == (3, -(2**200))
     assert hstack(IntMatrix.from_rows([[1], [2]]), IntMatrix.from_rows([[3, 4], [5, 6]])) == IntMatrix.from_rows(
         [[1, 3, 4], [2, 5, 6]]
