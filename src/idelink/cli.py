@@ -29,7 +29,7 @@ import re
 import sys
 from functools import cache
 
-from .errors import BadInput, IdelinkError, KnotOutsideLink, TooLarge
+from .errors import BadInput, IdelinkError, TooLarge
 from .presentation import Manifold, load_and_validate, presentation_from_dict
 
 __all__ = ["run_command", "main"]
@@ -185,10 +185,10 @@ def _cmd_is_principal(comp, args):
 
 
 def _cmd_pairing(comp, args):
-    from .ideles import global_pairing, require_support
+    from .ideles import global_pairing
 
     a, b = _idele(args, "a"), _idele(args, "b")
-    require_support(comp.link, a.support, b.support)
+    comp.require_support(a.support, b.support)
     return {"iota": str(global_pairing(a, b))}, 0
 
 
@@ -214,7 +214,6 @@ def _cmd_decomp(man, args):
     from .covers import decomposition_data
 
     cover = _cover(man, args)
-    man.knot_index(args.knot)  # an undeclared knot is unknown, not outside the branch link
     dd = decomposition_data(cover, args.knot)
     payload = {
         "knot": args.knot,
@@ -234,13 +233,10 @@ def _cmd_kummer(comp, args):
 
 def _cmd_hilbert(comp, args):
     from .covers import hilbert_symbol
-    from .ideles import require_support
 
     a, b = _idele(args, "a"), _idele(args, "b")
-    require_support(comp.link, a.support, b.support)
-    if args.knot not in comp.link:
-        comp.manifold.knot_index(args.knot)  # an undeclared knot is unknown, not outside the sublink
-        raise KnotOutsideLink(f"knot {args.knot!r} is not in the sublink {list(comp.link)}")
+    comp.require_support(a.support, b.support)
+    comp.require(args.knot)
     return {"symbol": hilbert_symbol(a, b, args.knot, args.n)}, 0
 
 

@@ -38,14 +38,13 @@ from .errors import (
     BadInput,
     BadModulus,
     CoverIllDefined,
-    KnotOutsideLink,
     NotAdmissible,
     json_int,
     json_names,
 )
 from .linalg import IntMatrix
 from .local import ComplementHomology, PeripheralClass, complement_homology, local_intersection
-from .ideles import Divisor, Idele, delta_solution, require_support
+from .ideles import Divisor, Idele, delta_solution
 
 __all__ = [
     "CoverSpec",
@@ -109,7 +108,8 @@ class CoverSpec:
     def knot_images(self, knot: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Images of the knot's meridian and reference longitude, computed on first use and kept.
 
-        Raises KnotOutsideLink on every call for a knot outside the sublink.
+        Raises on every call, through the stage's ``require``, for an
+        undeclared knot or one outside the sublink.
         """
         images = self._knot_images.get(knot)
         if images is None:
@@ -168,10 +168,11 @@ def global_symbol(a: Idele, cover: CoverSpec) -> tuple[int, ...]:
     """Image of the reassembled idele under the cover homomorphism.
 
     The sum over the idele's parts (x, y) at K of x * phi(mu_K) + y * phi(lambda_K),
-    read off the cover's cached knot images. Raises SupportOutsideLink when
-    the idele has a part outside the cover's sublink.
+    read off the cover's cached knot images. Raises, through the stage's
+    ``require_support``, when the idele has a part at an undeclared knot or
+    outside the cover's sublink.
     """
-    require_support(cover.link, a.support)
+    cover.complement.require_support(a.support)
     total = [0] * len(cover.orders)
     for k, x, y in a.parts:
         mu, l0 = cover.knot_images(k)
@@ -181,8 +182,6 @@ def global_symbol(a: Idele, cover: CoverSpec) -> tuple[int, ...]:
 
 def local_symbol(a: PeripheralClass, cover: CoverSpec) -> tuple[int, ...]:
     """Image of one peripheral class under the cover homomorphism."""
-    if a.knot not in cover.link:
-        raise KnotOutsideLink(f"knot {a.knot!r} is outside the cover's sublink")
     return cover.apply(cover.complement.peripheral_coords(a))
 
 
@@ -206,8 +205,6 @@ def decomposition_data(cover: CoverSpec, knot: str) -> DecompositionData:
     """(e, f, g) of the knot in the cover, computed on first use and kept by the cover."""
     data = cover._decompositions.get(knot)
     if data is None:
-        if knot not in cover.link:
-            raise KnotOutsideLink(f"knot {knot!r} is outside the cover's sublink")
         mu, l0 = cover.knot_images(knot)
         target = cover.target
         e = element_order(target.element(mu))

@@ -77,7 +77,7 @@ class CoverIllDefined(IdelinkError):
 
 
 class KnotOutsideLink(IdelinkError):
-    """A local operation referenced a knot outside the cover's sublink."""
+    """A local operation referenced a knot outside the stage's link."""
 
     code = "knot_outside_link"
 

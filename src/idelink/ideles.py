@@ -35,7 +35,7 @@ from math import prod
 from operator import mul
 
 from .abelian import GroupElement
-from .errors import BadInput, DivisorNotPrincipal, SupportOutsideLink, json_int
+from .errors import BadInput, DivisorNotPrincipal, json_int
 from .linalg import IntMatrix, hermite_coordinates, kernel_basis, kernel_mod, smith_diagonal_mod
 from .local import ComplementHomology, PeripheralClass, local_intersection
 
@@ -44,7 +44,6 @@ __all__ = [
     "Divisor",
     "ClassGroupData",
     "embed_local",
-    "require_support",
     "idele_coords",
     "rho_tilde",
     "is_principal",
@@ -170,18 +169,9 @@ class ClassGroupData:
     coker_invariants: tuple[int, ...]
 
 
-def require_support(link, *supports) -> None:
-    """Raise SupportOutsideLink unless every knot of every support lies in the sublink."""
-    allowed = set(link)
-    for support in supports:
-        for k in support:
-            if k not in allowed:
-                raise SupportOutsideLink(f"component at {k!r} lies outside the sublink {list(link)}")
-
-
 def idele_coords(comp: ComplementHomology, a: Idele) -> tuple[int, ...]:
     """Coordinate vector of the reassembled idele in H1(M - L), pre-quotient."""
-    require_support(comp.link, a.support)
+    comp.require_support(a.support)
     parts = [comp.peripheral_coords(PeripheralClass(k, x, y)) for k, x, y in a.parts]
     return tuple(map(sum, zip((0,) * comp.generator_count, *parts)))
 
@@ -210,7 +200,7 @@ def delta_solution(comp: ComplementHomology, divisor: Divisor) -> tuple[list[int
     DivisorNotPrincipal when the divisor class is nonzero in H1(M), that is
     when that quotient is not integral.
     """
-    require_support(comp.link, divisor.support)
+    comp.require_support(divisor.support)
     man = comp.manifold
     den = man.h1.modulus
     scaled = [0] * len(man.surgery_names)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .abelian import FgAbelianGroup, GroupElement
-from .errors import KnotOutsideLink, MismatchedKnot, json_int
+from .errors import KnotOutsideLink, MismatchedKnot, SupportOutsideLink, json_int
 from .linalg import FractionFreeLU, IntMatrix
 from .presentation import Manifold
 
@@ -160,25 +160,34 @@ class ComplementHomology(FgAbelianGroup):
         """H1(M)/G from ``Manifold.knot_quotient``, built on first use; trivial when admissible."""
         return self.manifold.knot_quotient(self.link)
 
-    def _require(self, knot: str) -> None:
-        if knot not in self._mu_pos:
-            raise KnotOutsideLink(f"knot {knot!r} is not part of this complement's link")
+    def require(self, knot: str) -> int:
+        """The meridian's generator index; UnknownKnot if undeclared, KnotOutsideLink if outside the stage."""
+        p = self._mu_pos.get(knot)
+        if p is None:
+            self.manifold.knot_index(knot)
+            raise KnotOutsideLink(f"knot {knot!r} lies outside the sublink {list(self.link)}")
+        return p
+
+    def require_support(self, *supports) -> None:
+        """``require`` for each knot of each support, raising SupportOutsideLink for one outside the stage."""
+        for k in (k for support in supports for k in support):
+            if k not in self._mu_pos:
+                self.manifold.knot_index(k)
+                raise SupportOutsideLink(f"component at {k!r} lies outside the sublink {list(self.link)}")
 
     def meridian_coords(self, knot: str) -> tuple[int, ...]:
-        self._require(knot)
-        n = self.generator_count
-        p = self._mu_pos[knot]
-        return tuple(1 if i == p else 0 for i in range(n))
+        p = self.require(knot)
+        return tuple(1 if i == p else 0 for i in range(self.generator_count))
 
     def longitude_coords(self, knot: str) -> tuple[int, ...]:
-        self._require(knot)
+        self.require(knot)
         return self._l0[knot]
 
     def peripheral_coords(self, a: PeripheralClass) -> tuple[int, ...]:
         """Coordinates of x * meridian + y * longitude in the complement."""
-        self._require(a.knot)
+        p = self.require(a.knot)
         coords = [a.longitude * t for t in self._l0[a.knot]]
-        coords[self._mu_pos[a.knot]] += a.meridian
+        coords[p] += a.meridian
         return tuple(coords)
 
     def class_of(self, a: PeripheralClass) -> GroupElement:

@@ -222,9 +222,9 @@ class Manifold:
         """Exact rational linking number of two distinct marked knots in M."""
         from fractions import Fraction
 
-        if a == b:
-            raise SelfLinking(f"linking number of {a!r} with itself is not defined")
         i, j = self.knot_index(a), self.knot_index(b)
+        if i == j:
+            raise SelfLinking(f"linking number of {a!r} with itself is not defined")
         mutual = Fraction(self.presentation.lk_mutual[i, j])
         ell_a = self.presentation.lk_with_surgery.row(i)
         ell_b = self.presentation.lk_with_surgery.row(j)

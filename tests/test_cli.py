@@ -212,8 +212,8 @@ def test_error_paths(capsys, hopf_path, lens5_path):
     assert (code, out["error"]) == (2, "divisor_not_principal")
 
     code, out = run(capsys, "delta", hopf_path, "--divisor", "K9=1")
-    assert (code, out["error"]) == (2, "support_outside_link")
-    assert out["detail"] == "component at 'K9' lies outside the sublink ['K1', 'K2']"
+    assert (code, out["error"]) == (2, "unknown_knot")
+    assert out["detail"] == "knot 'K9' was never declared"
 
     code, out = run(capsys, "delta", hopf_path, "--divisor", "K1")
     assert (code, out["error"]) == (2, "bad_input")
@@ -306,6 +306,21 @@ ERROR_CASES = {
     "branch-link-string": ("bad_input", HOPF, "cover", ["--phi", phi("K1", [2], [[1]])]),
     "unknown-knot": ("unknown_knot", HOPF, "lk", ["K1", "K9"]),
     "self-linking": ("self_linking", HOPF, "lk", ["K1", "K1"]),
+    # an undeclared knot is unknown wherever it is named, before any other check reads it
+    "lk-unknown-self": ("unknown_knot", HOPF, "lk", ["K9", "K9"]),
+    "delta-unknown-divisor-knot": ("unknown_knot", HOPF, "delta", ["--divisor", "K9=1"]),
+    "is-principal-unknown-support": ("unknown_knot", HOPF, "is-principal", ["--a", '{"K9":[1,0]}']),
+    "is-principal-outside-support": (
+        "support_outside_link", HOPF, "is-principal", ["--link", "K1", "--a", '{"K2":[1,0]}'],
+    ),
+    "pairing-unknown-support": ("unknown_knot", HOPF, "pairing", ["--a", '{"K9":[1,0]}', "--b", "{}"]),
+    "hilbert-unknown-support": (
+        "unknown_knot", HOPF, "hilbert", ["K1", "--a", '{"K9":[1,0]}', "--b", "{}", "--n", "2"],
+    ),
+    "symbol-unknown-support": (
+        "unknown_knot", HOPF, "symbol", ["--phi", phi(["K1", "K2"], [2], [[1], [0]]), "--a", '{"K9":[1,0]}'],
+    ),
+    "kummer-unknown-divisor-knot": ("unknown_knot", HOPF, "kummer", ["--divisor", "K9=1", "--n", "2"]),
 }
 
 

@@ -25,6 +25,7 @@ from idelink.errors import (
     KnotOutsideLink,
     NotAdmissible,
     SupportOutsideLink,
+    UnknownKnot,
 )
 from idelink.fuzz import FuzzConfig, check_trial
 from idelink.ideles import (
@@ -34,10 +35,12 @@ from idelink.ideles import (
     global_pairing,
     idele_class_group,
     idele_coords,
+    is_principal,
     principal_lattice_basis,
+    rho_tilde,
 )
 from idelink.linalg import IntMatrix, smith_normal_form
-from idelink.local import PeripheralClass, complement_homology
+from idelink.local import PeripheralClass, complement_homology, preferred_longitude
 from idelink.presentation import Manifold
 
 from conftest import LENS5, count_linear_algebra, load_manifold, random_manifold
@@ -168,9 +171,9 @@ def test_symbols_hopf(hopf):
     assert local_symbol(PeripheralClass("K2", 0, 1), cover) == (1,)
     principal = Idele.of({"K1": (0, 1), "K2": (-1, 0)})
     assert global_symbol(principal, cover) == (0,)
-    with pytest.raises(KnotOutsideLink):
+    with pytest.raises(UnknownKnot):
         local_symbol(PeripheralClass("nope", 1, 0), cover)
-    with pytest.raises(KnotOutsideLink):
+    with pytest.raises(UnknownKnot):
         decomposition_data(cover, "nope")
 
 
@@ -401,16 +404,65 @@ def test_a_second_cover_query_runs_no_linear_algebra(monkeypatch):
 
 def test_knots_outside_the_cover_are_refused_on_every_call(hopf):
     cover = make_cover(complement_homology(hopf, ("K1",)), (2, 3), [(1, 2)])
+    rows = (("K2", KnotOutsideLink, SupportOutsideLink), ("nope", UnknownKnot, UnknownKnot))
     for _ in range(2):
-        for knot in ("K2", "nope"):
-            with pytest.raises(KnotOutsideLink):
+        for knot, outside, support_outside in rows:
+            with pytest.raises(outside):
                 decomposition_data(cover, knot)
-            with pytest.raises(KnotOutsideLink):
+            with pytest.raises(outside):
                 cover.knot_images(knot)
-            with pytest.raises(SupportOutsideLink):
+            with pytest.raises(support_outside):
                 global_symbol(Idele.of({"K1": (1, 0), knot: (0, 1)}), cover)
         assert global_symbol(Idele.of({"K1": (1, 1)}), cover) == (1, 2)
         assert decomposition_data(cover, "K1").ramification_index == 6
+
+
+def _idele(k):
+    return Idele.of({"K1": (1, 0), k: (0, 1)})
+
+
+def _divisor(k):
+    return Divisor.of({"K1": 1, k: 1})
+
+
+# every entry point that takes a knot name or a support, called with knot k on the stage {K1} of the
+# Hopf link and a cover of it: (call, error for a declared knot outside the stage; None for a
+# manifold entry point, where every declared knot is inside)
+KNOT_ENTRY_POINTS = {
+    "require": (lambda comp, cover, k: comp.require(k), KnotOutsideLink),
+    "meridian_coords": (lambda comp, cover, k: comp.meridian_coords(k), KnotOutsideLink),
+    "longitude_coords": (lambda comp, cover, k: comp.longitude_coords(k), KnotOutsideLink),
+    "peripheral_coords": (lambda comp, cover, k: comp.peripheral_coords(PeripheralClass(k, 1, 0)), KnotOutsideLink),
+    "class_of": (lambda comp, cover, k: comp.class_of(PeripheralClass(k, 1, 0)), KnotOutsideLink),
+    "require_support": (lambda comp, cover, k: comp.require_support(("K1",), (k,)), SupportOutsideLink),
+    "rho_tilde": (lambda comp, cover, k: rho_tilde(comp, _idele(k)), SupportOutsideLink),
+    "is_principal": (lambda comp, cover, k: is_principal(comp, _idele(k)), SupportOutsideLink),
+    "delta_from_divisor": (lambda comp, cover, k: delta_from_divisor(comp, _divisor(k)), SupportOutsideLink),
+    "kummer_cover": (lambda comp, cover, k: kummer_cover(comp, _divisor(k), 2), SupportOutsideLink),
+    "global_symbol": (lambda comp, cover, k: global_symbol(_idele(k), cover), SupportOutsideLink),
+    "local_symbol": (lambda comp, cover, k: local_symbol(PeripheralClass(k, 1, 0), cover), KnotOutsideLink),
+    "decomposition_data": (lambda comp, cover, k: decomposition_data(cover, k), KnotOutsideLink),
+    "knot_images": (lambda comp, cover, k: cover.knot_images(k), KnotOutsideLink),
+    "linking_number": (lambda comp, cover, k: comp.manifold.linking_number(k, k), None),
+    "knot_order": (lambda comp, cover, k: comp.manifold.knot_order(k), None),
+    "preferred_longitude": (lambda comp, cover, k: preferred_longitude(comp.manifold, k), None),
+}
+KNOT_CASES = [
+    pytest.param(call, knot, error, id=f"{name}-{kind}")
+    for name, (call, outside) in KNOT_ENTRY_POINTS.items()
+    for kind, knot, error in (("undeclared", "K9", UnknownKnot), ("outside", "K2", outside))
+    if error is not None
+]
+
+
+@pytest.mark.parametrize("call, knot, error", KNOT_CASES)
+def test_the_stage_resolves_every_knot_name_on_every_call(hopf, call, knot, error):
+    comp = complement_homology(hopf, ("K1",))
+    assert comp.cokernel.is_trivial()  # so kummer_cover reaches the divisor
+    cover = make_cover(comp, (2, 3), [(1, 2)])
+    for _ in range(2):
+        with pytest.raises(error):
+            call(comp, cover, knot)
 
 
 class SmithPass(Exception):

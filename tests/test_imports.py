@@ -94,7 +94,7 @@ def test_dir_lists_every_export_before_any_is_resolved():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         idelink.no_such_name
-    assert not hasattr(idelink, "require_support")  # public in ``ideles``, not exported
+    assert not hasattr(idelink, "require_support")  # a stage method, not an export
 
 
 def test_star_import_binds_every_export():

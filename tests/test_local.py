@@ -75,7 +75,7 @@ def test_lens5_complement(lens5):
     assert comp.longitude_coords("K") == (1, 0)
     assert comp.class_of(PeripheralClass("K", 0, 0)).is_zero()
     assert not comp.class_of(PeripheralClass("K", 1, 0)).is_zero()
-    with pytest.raises(KnotOutsideLink):
+    with pytest.raises(UnknownKnot):
         comp.meridian_coords("missing")
 
 
@@ -220,7 +220,7 @@ def test_delta_outside_the_sublink_is_refused_on_every_call():
     for _ in range(2):
         with pytest.raises(SupportOutsideLink):
             delta_from_divisor(comp, Divisor.of({k1: man.knot_order(k1)}))
-        with pytest.raises(SupportOutsideLink):
+        with pytest.raises(UnknownKnot):
             delta_from_divisor(comp, Divisor.of({"missing": 1}))
         assert delta_from_divisor(comp, Divisor.of({k0: man.knot_order(k0)})).support == (k0,)
 
